@@ -70,8 +70,10 @@ scenario::Parameters make_params(std::size_t nodes, double sim_seconds,
   // default 2 s: 75k simultaneous join floods is a thundering herd the
   // paper's scenarios never produce.
   p.join_stagger_s = sim_seconds / 10.0;
-  // Measurement-only machinery off: the periodic overlay sampler is
-  // O(members + edges) per sample and would dominate at this scale.
+  // Measurement-only machinery off: each overlay sample runs a BFS from
+  // every member over its own component, O(reached pairs + edges) per
+  // sample — cheap on the fragmented overlay, but not what this tier
+  // measures.
   p.overlay_sample_interval_s = 0.0;
   // Parallel execution. The shard count is pinned whenever any parallel
   // run is requested (never left to the 0-auto rule) so a --threads sweep

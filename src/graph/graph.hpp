@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace p2p::graph {
@@ -18,6 +19,9 @@ class Graph {
       : adj_(std::move(adjacency)) {}
 
   std::size_t order() const noexcept { return adj_.size(); }
+  const std::vector<std::vector<Vertex>>& adjacency() const noexcept {
+    return adj_;
+  }
   std::size_t edge_count() const noexcept;
 
   /// Add an undirected edge; duplicate edges are ignored.
@@ -49,16 +53,28 @@ class Graph {
 int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
                  Vertex dst);
 
-/// Reusable BFS workspace for the allocation-free bfs_distance overload:
-/// visited marks are generation stamps (no O(n) clear per query) and the
-/// frontier is a flat vector reused across calls.
+/// Reusable BFS workspace for the allocation-free bfs_distance overload
+/// and bfs_reach: visited marks are generation stamps (no O(n) clear per
+/// query) and the frontier is a flat vector reused across calls.
 class BfsScratch {
  public:
   BfsScratch() = default;
 
+  /// Hop distance of a vertex settled by the last traversal.
+  int distance(Vertex v) const { return dist_[v]; }
+
  private:
   friend int bfs_distance(const std::vector<std::vector<Vertex>>& adj,
                           Vertex src, Vertex dst, BfsScratch& scratch);
+  friend std::span<const Vertex> bfs_reach(
+      const std::vector<std::vector<Vertex>>& adj, Vertex src,
+      BfsScratch& scratch);
+  /// The one traversal both entry points share: settles vertices from
+  /// `src` in BFS order into frontier_ until `dst` is reached (returns its
+  /// distance) or the component is exhausted (kUnreachable).
+  int traverse(const std::vector<std::vector<Vertex>>& adj, Vertex src,
+               Vertex dst);
+
   std::vector<std::uint32_t> stamp_;  // stamp_[v] == generation_ -> settled
   std::vector<int> dist_;             // valid only where stamped
   std::vector<Vertex> frontier_;      // BFS queue (head index, no pops)
@@ -69,5 +85,14 @@ class BfsScratch {
 /// allocating overload.
 int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
                  Vertex dst, BfsScratch& scratch);
+
+/// Full BFS sweep from `src` (no target) on the same traversal as the
+/// scratch bfs_distance: the vertices reached, `src` first, in BFS order,
+/// each with its hop distance in scratch.distance(v). O(reached + their
+/// edges), not O(order); the span is valid until the next traversal on
+/// `scratch`. Empty when `src` is out of range.
+std::span<const Vertex> bfs_reach(
+    const std::vector<std::vector<Vertex>>& adj, Vertex src,
+    BfsScratch& scratch);
 
 }  // namespace p2p::graph

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace p2p::graph {
@@ -32,18 +33,20 @@ double clustering_coefficient(const Graph& g) {
 }
 
 double characteristic_path_length(const Graph& g) {
-  double sum = 0.0;
-  std::size_t pairs = 0;
+  // Sum over each source's reached set only: on a fragmented graph that is
+  // O(reached pairs + edges), not O(V^2). The integer sums stay far below
+  // 2^53, so converting them to double is exact.
+  BfsScratch scratch;
+  std::uint64_t sum = 0;
+  std::uint64_t pairs = 0;
   for (Vertex v = 0; v < g.order(); ++v) {
-    const std::vector<int> dist = g.bfs_distances(v);
-    for (Vertex w = 0; w < g.order(); ++w) {
-      if (w != v && dist[w] != kUnreachable) {
-        sum += dist[w];
-        ++pairs;
-      }
+    const auto reached = bfs_reach(g.adjacency(), v, scratch);
+    for (const Vertex w : reached) {
+      sum += static_cast<std::uint64_t>(scratch.distance(w));
     }
+    pairs += reached.size() - 1;
   }
-  return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+  return pairs == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(pairs);
 }
 
 SmallWorldMetrics analyze(const Graph& g) {

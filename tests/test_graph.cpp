@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -18,6 +20,70 @@ Graph ring_lattice(std::size_t n, std::size_t k_each_side) {
     }
   }
   return g;
+}
+
+// The characteristic path length by definition: one allocating BFS per
+// source and a scan over all V entries, O(V^2). The reference the
+// library's O(reached) version must match exactly.
+double reference_path_length(const Graph& g) {
+  double sum = 0.0;
+  std::size_t pairs = 0;
+  for (Vertex v = 0; v < g.order(); ++v) {
+    const std::vector<int> dist = g.bfs_distances(v);
+    for (Vertex w = 0; w < g.order(); ++w) {
+      if (w != v && dist[w] != kUnreachable) {
+        sum += dist[w];
+        ++pairs;
+      }
+    }
+  }
+  return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+}
+
+// Component labels rebuilt from bfs_reach sweeps in vertex order, which is
+// the labelling components() defines.
+std::vector<Vertex> labels_from_reach(const Graph& g) {
+  std::vector<Vertex> label(g.order(), static_cast<Vertex>(-1));
+  BfsScratch scratch;
+  Vertex next = 0;
+  for (Vertex s = 0; s < g.order(); ++s) {
+    if (label[s] != static_cast<Vertex>(-1)) continue;
+    for (const Vertex v : bfs_reach(g.adjacency(), s, scratch)) label[v] = next;
+    ++next;
+  }
+  return label;
+}
+
+// `n` vertices under a seeded random relabelling. The first `active`
+// labels get `edges` random edges, plus a path through all of them when
+// `spanning` (one component); the other n - active stay isolated.
+Graph random_graph(std::size_t n, std::size_t active, std::size_t edges,
+                   bool spanning, std::uint64_t seed) {
+  p2p::sim::RngStream rng(seed);
+  std::vector<Vertex> perm(n);
+  std::iota(perm.begin(), perm.end(), Vertex{0});
+  rng.shuffle(perm);
+  const auto pick = [&] {
+    return perm[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(active) - 1))];
+  };
+  Graph g(n);
+  for (std::size_t i = 1; spanning && i < active; ++i) {
+    g.add_edge(perm[i - 1], perm[i]);
+  }
+  for (std::size_t e = 0; e < edges; ++e) g.add_edge(pick(), pick());
+  return g;
+}
+
+std::size_t component_count(const Graph& g) {
+  std::size_t count = 0;
+  g.components(&count);
+  return count;
+}
+
+void expect_exact(const Graph& g) {
+  EXPECT_EQ(characteristic_path_length(g), reference_path_length(g));
+  EXPECT_EQ(g.components(), labels_from_reach(g));
 }
 
 TEST(Graph, AddEdgeIgnoresDuplicatesSelfLoopsAndOutOfRange) {
@@ -47,6 +113,31 @@ TEST(Graph, BfsMarksUnreachable) {
   EXPECT_EQ(dist[1], 1);
   EXPECT_EQ(dist[2], kUnreachable);
   EXPECT_EQ(dist[3], kUnreachable);
+}
+
+TEST(Graph, BfsReachListsTheComponentInBfsOrder) {
+  Graph g(7);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(0, 3);
+  g.add_edge(5, 6);
+  BfsScratch scratch;
+  const auto reached = bfs_reach(g.adjacency(), 0, scratch);
+  ASSERT_EQ(reached.size(), 4U);  // {0,1,2,3}; 4 isolated, {5,6} apart
+  EXPECT_EQ(reached[0], 0U);
+  const auto dist = g.bfs_distances(0);
+  int last = 0;
+  for (const Vertex v : reached) {
+    EXPECT_EQ(scratch.distance(v), dist[v]);
+    EXPECT_GE(scratch.distance(v), last);  // BFS order: non-decreasing
+    last = scratch.distance(v);
+  }
+  // A pair query in between does not disturb the next sweep.
+  EXPECT_EQ(bfs_distance(g.adjacency(), 2, 3, scratch), 3);
+  const auto isolated = bfs_reach(g.adjacency(), 4, scratch);
+  ASSERT_EQ(isolated.size(), 1U);
+  EXPECT_EQ(scratch.distance(4), 0);
+  EXPECT_TRUE(bfs_reach(g.adjacency(), 99, scratch).empty());
 }
 
 TEST(Graph, PairDistance) {
@@ -120,6 +211,44 @@ TEST(Metrics, PathLengthOfTriangleAndPath) {
   path.add_edge(1, 2);
   // Distances: (0,1)=1 (0,2)=2 (1,2)=1 -> mean 4/3.
   EXPECT_NEAR(characteristic_path_length(path), 4.0 / 3.0, 1e-12);
+}
+
+TEST(Metrics, PathLengthWithoutConnectedPairsIsZero) {
+  // Empty, one vertex, all isolated.
+  for (const std::size_t n : {0UL, 1UL, 300UL}) {
+    const Graph g(n);
+    expect_exact(g);
+    EXPECT_EQ(characteristic_path_length(g), 0.0);
+    EXPECT_EQ(component_count(g), n);
+  }
+}
+
+// Shaped like the final mega-scale graphs: thousands of small fragments.
+TEST(Metrics, PathLengthMatchesReferenceOnFragmentedGraph) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    const Graph g = random_graph(5000, 5000, 2700, false, seed);
+    const std::size_t count = component_count(g);
+    EXPECT_GT(count, 2000U);
+    EXPECT_LT(count, 3000U);
+    expect_exact(g);
+    EXPECT_GT(characteristic_path_length(g), 1.0);
+  }
+}
+
+TEST(Metrics, PathLengthMatchesReferenceOnOneComponent) {
+  for (const std::uint64_t seed : {4ULL, 5ULL, 6ULL}) {
+    const Graph g = random_graph(600, 600, 150, true, seed);
+    EXPECT_EQ(component_count(g), 1U);
+    expect_exact(g);
+  }
+}
+
+TEST(Metrics, PathLengthMatchesReferenceOnIsolatedPlusLargeComponent) {
+  for (const std::uint64_t seed : {7ULL, 8ULL, 9ULL}) {
+    const Graph g = random_graph(1500, 900, 200, true, seed);
+    EXPECT_EQ(component_count(g), 601U);
+    expect_exact(g);
+  }
 }
 
 TEST(Metrics, RingLatticeValues) {
