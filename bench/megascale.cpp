@@ -25,12 +25,8 @@
 //                    machine-width dependent, so also not guarded.
 //
 // Usage: megascale [--label NAME] [--out FILE] [--smoke] [--repeat N]
-//                  [--ladder-min N]
 // --smoke runs a single bounded 10k-node slice (the `mega` ctest + the
-// bench_guard counter pin); full mode runs 10k/50k/100k. --ladder-min
-// moves the event-queue backend crossover (0 = ladder everywhere, huge =
-// heap everywhere) for heap-vs-ladder A/B runs; it must never change a
-// fixed-seed counter, only wall_s.
+// bench_guard counter pin); full mode runs 10k/50k/100k.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -85,9 +81,6 @@ scenario::Parameters make_params(std::size_t nodes, double sim_seconds,
   } else if (sim_threads > 1) {
     p.sim_shards = nodes >= 8192 ? 64 : 16;
   }
-  // Backend A/B override (--ladder-min): move the heap/ladder crossover
-  // for this run. Counters must not move with it — only wall_s may.
-  if (opt.ladder_min_set) p.ladder_queue_min_nodes = opt.ladder_min;
   return p;
 }
 

@@ -53,14 +53,11 @@ BENCHMARK(BM_EventQueueCancel);
 // Steady-state kernel throughput at a fixed queue depth: the pop-one /
 // push-one regime a long simulation settles into. The queue never
 // empties, so this isolates per-op cost at depth `range(0)` from setup
-// cost. range(1) selects the backend (0 = heap, 1 = ladder) — the
-// crossover between the two curves is what sizes
-// scenario::Parameters::ladder_queue_min_nodes.
+// cost.
 void BM_EventQueueSteadyState(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
-  const auto backend = static_cast<sim::QueueBackend>(state.range(1));
   sim::RngStream rng(42);
-  sim::EventQueue queue(backend);
+  sim::EventQueue queue;
   double now = 0.0;
   for (std::size_t i = 0; i < depth; ++i) {
     queue.push(rng.uniform(0.0, 10.0), [] {});
@@ -71,14 +68,13 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
     queue.push(now + rng.uniform(0.0, 10.0), [] {});
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(backend == sim::QueueBackend::kLadder ? "ladder" : "heap");
 }
 BENCHMARK(BM_EventQueueSteadyState)
-    ->ArgsProduct({{64, 1000, 16384, 100000, 500000}, {0, 1}});
+    ->Arg(64)->Arg(1000)->Arg(16384)->Arg(100000)->Arg(500000);
 
 // Timer churn: the arm/disarm pattern of connection maintenance — push a
 // timeout, cancel it, rearm. With tombstone cancellation this is O(1)
-// per cancel; dead entries surface lazily at the heap top.
+// per cancel; dead entries surface lazily at the queue front.
 void BM_EventQueueTimerChurn(benchmark::State& state) {
   sim::RngStream rng(42);
   sim::EventQueue queue;

@@ -127,8 +127,12 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
   // stale kernel telemetry. v8: fault-injection subsystem — zero-fault
   // runs are bit-identical to v7, but churned runs changed semantics
   // (exponential downtime, per-node RNG streams, crashed nodes now lose
-  // protocol state) and v7 entries lack the churn-metric stats.
-  os << "code-v8\n";
+  // protocol state) and v7 entries lack the churn-metric stats. v9: the
+  // ladder is the only event queue — model results are bit-identical to
+  // v8, but runs below 8192 nodes used the 4-ary heap, so v8 entries
+  // would replay the heap's tombstone/compaction/peak-raw queue counters
+  // (and no ladder spills or re-buckets) for them.
+  os << "code-v9\n";
   put(os, "area_width", p.area_width);
   put(os, "area_height", p.area_height);
   put(os, "radio_range", p.radio_range);
@@ -240,14 +244,6 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
   // so existing cache entries keep their keys.
   if (p.effective_sim_shards() > 1) {
     put(os, "sim_shards", static_cast<std::uint64_t>(p.effective_sim_shards()));
-  }
-  // The event-queue backend gate never changes results (both backends pop
-  // in the identical (time, seq) order), but a pinned non-default value is
-  // still recorded so a sweep that overrides it gets distinct manifests.
-  // Non-default-only: existing cache entries keep their keys.
-  if (p.ladder_queue_min_nodes != Parameters{}.ladder_queue_min_nodes) {
-    put(os, "ladder_queue_min_nodes",
-        static_cast<std::uint64_t>(p.ladder_queue_min_nodes));
   }
   put(os, "num_seeds", static_cast<std::uint64_t>(num_seeds));
   return os.str();

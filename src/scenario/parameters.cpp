@@ -152,7 +152,6 @@ std::string Parameters::apply(const util::Config& config) {
 
   get_sz("sim_threads", &sim_threads);
   get_sz("sim_shards", &sim_shards);
-  get_sz("ladder_queue_min_nodes", &ladder_queue_min_nodes);
 
   if (!err.empty()) return err;
   if (!pending.empty()) return "unknown key: " + *pending.begin();

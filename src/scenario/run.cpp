@@ -30,14 +30,6 @@ void SimulationRun::build() {
   P2P_ASSERT_MSG(!built_, "build() called twice");
   built_ = true;
 
-  // Backend choice must precede the first scheduled event (joins, mobility
-  // samplers and routing agents below all push). Every shard Simulator
-  // gets the same choice so thread sweeps compare identical executions.
-  const sim::QueueBackend queue_backend = params_.use_ladder_queue()
-                                              ? sim::QueueBackend::kLadder
-                                              : sim::QueueBackend::kHeap;
-  sim_.set_queue_backend(queue_backend);
-
   num_shards_ = params_.effective_sim_shards();
   if (num_shards_ > 1) {
     // The invariant checker is a per-frame NetObserver — incompatible with
@@ -47,7 +39,6 @@ void SimulationRun::build() {
     shard_sims_.reserve(num_shards_);
     for (std::size_t s = 0; s < num_shards_; ++s) {
       shard_sims_.push_back(std::make_unique<sim::Simulator>());
-      shard_sims_.back()->set_queue_backend(queue_backend);
     }
   }
 

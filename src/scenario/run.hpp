@@ -77,10 +77,10 @@ struct RunResult {
   // Event-queue operation counters, summed over the main Simulator and
   // every shard (sim::EventQueue::Stats). Fixed-seed deterministic and
   // thread-count invariant — the pop order, and hence every push/pop/
-  // cancel a run performs, is identical across backends and thread
-  // counts. queue_peak_raw is the physical-storage high-water mark
-  // (tombstones included; backend-dependent purge timing, unlike the
-  // live peak_queue_depth above).
+  // cancel a run performs, is identical across thread counts.
+  // queue_peak_raw is the physical-storage high-water mark (tombstones
+  // included; it depends on purge timing, unlike the live
+  // peak_queue_depth above).
   std::uint64_t queue_pushes = 0;
   std::uint64_t queue_pops = 0;
   std::uint64_t queue_tombstones_purged = 0;

@@ -22,18 +22,21 @@ constexpr std::size_t kTargetPerBucket = 8;
 constexpr std::size_t kRebucketThreshold = 64;
 constexpr std::size_t kDirectSpreadMax = 64;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-// Compaction trigger (both backends): dead > live and at least this many.
+// Pool bounds. A drained vector with more capacity than a dipped bucket
+// may hold (a re-bucketed bucket, a tier buffer that held a deep burst)
+// is freed instead of pooled, and the pool keeps at most as many vectors
+// as one spread of every stored entry takes, plus a little slack — so
+// recycled capacity stays proportional to the pending set at every depth.
+constexpr std::size_t kPooledCapacityMax = kRebucketThreshold;
+constexpr std::size_t kPoolSlack = 8;
+// Compaction trigger: dead > live and at least this many.
 constexpr std::size_t kCompactMinDead = 64;
-// Bound the consumed-prefix slack kept in bottom_ between full drains.
-constexpr std::size_t kBottomTrim = 4096;
+// bottom_ drops its consumed prefix once that prefix is at least this
+// long and at least half of bottom_, so the slack stays proportional to
+// the pending entries at amortized O(1) per pop.
+constexpr std::size_t kBottomTrimMin = 64;
 
 }  // namespace
-
-void EventQueue::set_backend(QueueBackend backend) {
-  P2P_ASSERT_MSG(next_seq_ == 0,
-                 "EventQueue backend must be chosen before the first push");
-  backend_ = backend;
-}
 
 EventId EventQueue::push(SimTime at, EventFn fn) {
   P2P_ASSERT_MSG(at == at, "NaN event time");  // NaN check
@@ -48,13 +51,7 @@ EventId EventQueue::push(SimTime at, EventFn fn) {
   }
   slot_fn_[slot] = std::move(fn);
   const std::uint32_t gen = slot_gen_[slot];
-  const Entry e{at, next_seq_++, slot, gen};
-  if (backend_ == QueueBackend::kHeap) {
-    heap_.push_back(e);
-    sift_up(heap_.size() - 1);
-  } else {
-    insert_ladder(e);
-  }
+  insert(Entry{at, next_seq_++, slot, gen});
   ++live_count_;
   if (live_count_ > peak_size_) peak_size_ = live_count_;
   ++raw_count_;
@@ -78,33 +75,19 @@ bool EventQueue::cancel(EventId id) noexcept {
 }
 
 SimTime EventQueue::next_time() {
-  if (backend_ == QueueBackend::kHeap) {
-    drop_dead_tops();
-    return heap_.empty() ? kTimeNever : heap_.front().time;
-  }
-  const Entry* e = ladder_front();
+  const Entry* e = front();
   return e == nullptr ? kTimeNever : e->time;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  Entry top;
-  if (backend_ == QueueBackend::kHeap) {
-    drop_dead_tops();
-    P2P_ASSERT_MSG(!heap_.empty(), "pop from empty EventQueue");
-    top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  } else {
-    const Entry* e = ladder_front();
-    P2P_ASSERT_MSG(e != nullptr, "pop from empty EventQueue");
-    top = *e;
-    ++bottom_head_;
-    if (bottom_head_ >= kBottomTrim && bottom_head_ * 2 >= bottom_.size()) {
-      bottom_.erase(bottom_.begin(),
-                    bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_));
-      bottom_head_ = 0;
-    }
+  const Entry* e = front();
+  P2P_ASSERT_MSG(e != nullptr, "pop from empty EventQueue");
+  const Entry top = *e;
+  ++bottom_head_;
+  if (bottom_head_ >= kBottomTrimMin && bottom_head_ * 2 >= bottom_.size()) {
+    bottom_.erase(bottom_.begin(),
+                  bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_));
+    bottom_head_ = 0;
   }
   --raw_count_;
   ++slot_gen_[top.slot];  // the handle is dead the moment the event fires
@@ -115,52 +98,7 @@ EventQueue::Popped EventQueue::pop() {
                 std::move(slot_fn_[top.slot])};
 }
 
-// --- 4-ary heap backend -----------------------------------------------
-
-void EventQueue::remove_top() noexcept {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-}
-
-void EventQueue::drop_dead_tops() noexcept {
-  while (!heap_.empty() && !live(heap_.front())) {
-    remove_top();
-    --raw_count_;
-    ++stats_.tombstones_purged;
-  }
-}
-
-void EventQueue::sift_up(std::size_t i) noexcept {
-  const Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!later(heap_[parent], e)) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-void EventQueue::sift_down(std::size_t i) noexcept {
-  const std::size_t n = heap_.size();
-  const Entry e = heap_[i];
-  for (;;) {
-    const std::size_t first = kArity * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + kArity, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (later(heap_[best], heap_[c])) best = c;
-    }
-    if (!later(e, heap_[best])) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = e;
-}
-
-// --- ladder backend ----------------------------------------------------
+// --- tiers ----------------------------------------------------------
 
 std::size_t EventQueue::bucket_index(const Rung& rung, double t) noexcept {
   // Canonical and monotone in t; out-of-range times clamp to the edge
@@ -174,7 +112,7 @@ std::size_t EventQueue::bucket_index(const Rung& rung, double t) noexcept {
   return static_cast<std::size_t>(idx);
 }
 
-void EventQueue::insert_ladder(const Entry& e) {
+void EventQueue::insert(const Entry& e) {
   if (e.time >= top_start_) {
     top_.push_back(e);
     return;
@@ -198,7 +136,7 @@ void EventQueue::bottom_insert(const Entry& e) {
   bottom_.insert(it, e);
 }
 
-const EventQueue::Entry* EventQueue::ladder_front() {
+const EventQueue::Entry* EventQueue::front() {
   for (;;) {
     while (bottom_head_ < bottom_.size()) {
       const Entry& e = bottom_[bottom_head_];
@@ -235,11 +173,13 @@ void EventQueue::filter_dead(std::vector<Entry>& entries, double* lo,
   *hi = max_t;
 }
 
-void EventQueue::release_bucket(std::vector<Entry>&& bucket) {
-  bucket.clear();
-  if (bucket.capacity() > 0 && bucket_pool_.size() < kMaxBuckets) {
-    bucket_pool_.push_back(std::move(bucket));
+void EventQueue::release_bucket(std::vector<Entry> bucket) {
+  if (bucket.capacity() == 0 || bucket.capacity() > kPooledCapacityMax ||
+      bucket_pool_.size() >= raw_count_ / kTargetPerBucket + kPoolSlack) {
+    return;  // `bucket` frees its storage here
   }
+  bucket.clear();
+  bucket_pool_.push_back(std::move(bucket));
 }
 
 void EventQueue::retire_innermost_rung() {
@@ -302,7 +242,7 @@ bool EventQueue::refill_bottom() {
     if (bucket.size() > kRebucketThreshold &&
         try_make_rung(bucket, lo, hi)) {
       // rung.cur stays: the child rung now refines this bucket, and
-      // inserts routed to it descend (insert_ladder).
+      // inserts routed to it descend (insert).
       ++stats_.ladder_rebuckets;
       release_bucket(std::move(bucket));
       continue;
@@ -345,30 +285,6 @@ void EventQueue::spread_top() {
 void EventQueue::maybe_compact() {
   const std::size_t dead = raw_count_ - live_count_;
   if (dead < kCompactMinDead || dead <= live_count_) return;
-  if (backend_ == QueueBackend::kHeap) {
-    compact_heap();
-  } else {
-    compact_ladder();
-  }
-  ++stats_.compactions;
-}
-
-void EventQueue::compact_heap() {
-  const auto dead_end = std::remove_if(
-      heap_.begin(), heap_.end(),
-      [this](const Entry& e) { return !live(e); });
-  const auto removed = static_cast<std::size_t>(heap_.end() - dead_end);
-  heap_.erase(dead_end, heap_.end());
-  raw_count_ -= removed;
-  stats_.tombstones_purged += removed;
-  if (heap_.size() > 1) {  // Floyd heapify: O(n), order-independent result
-    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
-      sift_down(i);
-    }
-  }
-}
-
-void EventQueue::compact_ladder() {
   const auto is_dead = [this](const Entry& e) { return !live(e); };
   const auto sweep = [&](std::vector<Entry>& v) {
     const auto dead_end = std::remove_if(v.begin(), v.end(), is_dead);
@@ -389,6 +305,28 @@ void EventQueue::compact_ladder() {
     }
   }
   sweep(top_);
+  ++stats_.compactions;
+}
+
+std::size_t EventQueue::memory_bytes() const noexcept {
+  const auto entries = [](const std::vector<Entry>& v) {
+    return v.capacity() * sizeof(Entry);
+  };
+  const auto rungs = [&](const std::vector<Rung>& v) {
+    std::size_t bytes = v.capacity() * sizeof(Rung);
+    for (const Rung& rung : v) {
+      bytes += rung.buckets.capacity() * sizeof(std::vector<Entry>);
+      for (const auto& bucket : rung.buckets) bytes += entries(bucket);
+    }
+    return bytes;
+  };
+  std::size_t bytes = entries(bottom_) + entries(top_) + rungs(rungs_) +
+                      rungs(rung_pool_) +
+                      bucket_pool_.capacity() * sizeof(std::vector<Entry>);
+  for (const auto& bucket : bucket_pool_) bytes += entries(bucket);
+  return bytes + slot_gen_.capacity() * sizeof(std::uint32_t) +
+         slot_fn_.capacity() * sizeof(EventFn) +
+         free_slots_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace p2p::sim

@@ -1,28 +1,21 @@
 // Pending-event set for the discrete-event kernel.
 //
-// Two backends share one slot/generation cancellation scheme and produce
-// bit-identical pop order — the strict (time, seq) total order fixes the
-// sequence regardless of the container, so switching backends can never
-// change simulation results:
+// A ladder/calendar queue (Tang, Goh, Thng): an unsorted top tier
+// collects far-future events; when the sorted region drains, the top is
+// spread into a rung of time buckets sized from the observed min/max
+// spacing; an oversized bucket is re-bucketed into a finer child rung on
+// demand; the earliest bucket is sorted by (time, seq) into the bottom
+// tier and popped by advancing an index. Schedule/pop are O(1) amortized
+// — each event is touched a constant number of times on average — which
+// is what keeps events/s flat as mega-scale runs grow the pending set
+// into the hundreds of thousands (see docs/performance.md).
 //
-//   * kHeap — a 4-ary min-heap ordered by (time, sequence). O(log n)
-//     schedule/pop, unbeatable constants at small populations.
-//   * kLadder — a ladder/calendar queue (Tang, Goh, Thng): an unsorted
-//     top tier collects far-future events; when the sorted region drains,
-//     the top is spread into a rung of time buckets sized from the
-//     observed min/max spacing; an oversized bucket is re-bucketed into a
-//     finer child rung on demand; the earliest bucket is sorted by
-//     (time, seq) into the bottom tier and popped by advancing an index.
-//     Schedule/pop are O(1) amortized — each event is touched a constant
-//     number of times on average — which is what keeps events/s flat as
-//     mega-scale runs grow the pending set into the hundreds of
-//     thousands (the 4-ary heap's O(log n) sifts through cold cache
-//     lines dominate there; see docs/performance.md).
-//
-// Shared machinery, identical across backends:
+// Pop order is the strict (time, seq) total order, independent of how
+// entries are laid out across the tiers, so bucket tuning can never change
+// simulation results.
 //
 //   * entries are 24-byte PODs {time, seq, slot, gen}; the closures live
-//     out-of-line in a slot-indexed array and never move during sifts or
+//     out-of-line in a slot-indexed array and never move during spreads or
 //     re-buckets,
 //   * an EventId encodes (generation, slot); cancel() is an O(1) array
 //     probe — important because the P2P maintenance layer cancels timers
@@ -31,11 +24,14 @@
 //     no longer matches) and are skipped on pop; their closure is
 //     destroyed eagerly so captured resources release at cancel time,
 //   * when tombstones outnumber live entries, a compaction pass sweeps
-//     them out — a cancel-heavy run can no longer carry an unbounded
-//     dead fraction (they previously lingered until they surfaced at the
-//     heap top),
+//     them out — a cancel-heavy run can never carry an unbounded dead
+//     fraction,
 //   * slots are recycled through a free list, so a long-running
-//     simulation reuses the same storage instead of growing it.
+//     simulation reuses the same storage instead of growing it,
+//   * every buffer stays proportional to the stored entries: the pool of
+//     recycled bucket vectors caps each vector's capacity and their
+//     count, and the consumed prefix of the bottom tier is trimmed
+//     relative to its size (memory_bytes() reports the total).
 //
 // Closures are sim::EventFn — a fixed-capacity inline function (see
 // inplace_function.hpp) — so push() never allocates for captures.
@@ -58,24 +54,8 @@ inline constexpr EventId kInvalidEventId = 0;
 
 using EventFn = InplaceFn<kEventCaptureBytes>;
 
-/// Which pending-set container an EventQueue uses. Pop order is fixed by
-/// the strict (time, seq) total order, so this is a pure execution knob:
-/// both backends produce bit-identical results.
-enum class QueueBackend : std::uint8_t {
-  kHeap = 0,    // 4-ary min-heap; best below the mega-scale crossover
-  kLadder = 1,  // ladder queue; O(1) amortized at very deep pending sets
-};
-
 class EventQueue {
  public:
-  EventQueue() = default;
-  explicit EventQueue(QueueBackend backend) noexcept : backend_(backend) {}
-
-  /// Select the backend. Must be called before the first push (the two
-  /// containers share no storage, so there is nothing to migrate).
-  void set_backend(QueueBackend backend);
-  QueueBackend backend() const noexcept { return backend_; }
-
   /// Schedule `fn` at absolute time `at`. Returns a handle usable with
   /// cancel(). Ties at equal time fire in push order (FIFO), which makes
   /// runs bit-reproducible.
@@ -103,15 +83,20 @@ class EventQueue {
   std::uint64_t total_scheduled() const noexcept { return next_seq_; }
 
   /// High-water mark of live pending events (telemetry). Counts only
-  /// live entries, so it is bit-identical across backends and thread
-  /// counts; peak_raw_size() is the physical-storage counterpart.
+  /// live entries, so it is bit-identical across thread counts and
+  /// independent of purge timing; peak_raw_size() is the physical-storage
+  /// counterpart.
   std::size_t peak_size() const noexcept { return peak_size_; }
 
   /// High-water mark of physically stored entries, tombstones included.
   /// peak_raw_size() - peak_size() bounds how much dead weight the
   /// compaction policy let accumulate; unlike peak_size() it depends on
-  /// purge timing and so may differ between backends.
+  /// purge timing.
   std::size_t peak_raw_size() const noexcept { return peak_raw_size_; }
+
+  /// Bytes of capacity held by the queue's own buffers (tiers, rungs,
+  /// pools, slot arrays), whether or not they hold entries.
+  std::size_t memory_bytes() const noexcept;
 
   /// Operation counters (telemetry; fixed-seed deterministic). Pushes are
   /// total_scheduled(). Spill = one top-tier spread into a new rung;
@@ -136,9 +121,6 @@ class EventQueue {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
-  static bool later(const Entry& a, const Entry& b) noexcept {
-    return earlier(b, a);
-  }
   static constexpr EventId encode(std::uint32_t slot,
                                   std::uint32_t gen) noexcept {
     return (static_cast<EventId>(gen) << 32) |
@@ -148,19 +130,7 @@ class EventQueue {
     return slot_gen_[e.slot] == e.gen;
   }
 
-  // --- 4-ary heap backend. Hand-rolled hole-based sifts (one final store
-  // per level instead of three-move swaps). 4-ary: half the depth of a
-  // binary heap, and the four children sit in two adjacent cache lines,
-  // so sift_down touches fewer lines per level.
-  static constexpr std::size_t kArity = 4;
-  void sift_up(std::size_t i) noexcept;
-  void sift_down(std::size_t i) noexcept;
-  /// Physically remove the heap root (no slot bookkeeping).
-  void remove_top() noexcept;
-  /// Remove cancelled entries sitting at the heap top.
-  void drop_dead_tops() noexcept;
-
-  // --- Ladder backend. Three tiers, earliest first:
+  // --- Three tiers, earliest first:
   //   bottom_ — the current dip, sorted ascending by (time, seq) and
   //             consumed by advancing bottom_head_,
   //   rungs_  — a stack of bucket arrays; rungs_[r+1] always refines
@@ -179,12 +149,12 @@ class EventQueue {
     std::vector<std::vector<Entry>> buckets;
   };
   static std::size_t bucket_index(const Rung& rung, double t) noexcept;
-  void insert_ladder(const Entry& e);
+  void insert(const Entry& e);
   /// Sorted insert into the pending suffix of bottom_ ("past" region).
   void bottom_insert(const Entry& e);
   /// Earliest live entry (== bottom_[bottom_head_]) or nullptr when the
-  /// ladder is empty. Purges dead entries and refills bottom_ as needed.
-  const Entry* ladder_front();
+  /// queue is empty. Purges dead entries and refills bottom_ as needed.
+  const Entry* front();
   /// Move the innermost rung's next non-empty bucket into bottom_,
   /// re-bucketing oversized buckets first. False when all rungs drained.
   bool refill_bottom();
@@ -198,34 +168,30 @@ class EventQueue {
   /// survivors' min/max time.
   void filter_dead(std::vector<Entry>& entries, double* lo,
                    double* hi) noexcept;
-  void release_bucket(std::vector<Entry>&& bucket);
+  /// Return a drained bucket's storage to bucket_pool_, or free it when
+  /// the pool is at its bounds.
+  void release_bucket(std::vector<Entry> bucket);
   /// Pop rungs_.back() into the pool and advance the parent past the
   /// bucket the child was refining.
   void retire_innermost_rung();
 
-  // --- Tombstone compaction, both backends: when the dead outnumber the
-  // live, sweep them instead of waiting for them to surface at the front.
+  // --- Tombstone compaction: when the dead outnumber the live, sweep
+  // them instead of waiting for them to surface at the front.
   void maybe_compact();
-  void compact_heap();
-  void compact_ladder();
 
-  QueueBackend backend_ = QueueBackend::kHeap;
-
-  // Heap state.
-  std::vector<Entry> heap_;
-
-  // Ladder state.
   std::vector<Entry> bottom_;
   std::size_t bottom_head_ = 0;
   std::vector<Rung> rungs_;
   std::vector<Entry> top_;
   double top_start_ = -kTimeNever;  // raised past the max at every spread
   // Capacity recycling: spreads are rare but allocate many small bucket
-  // vectors; pooling them makes the steady state allocation-free.
+  // vectors; pooling them makes the steady state allocation-free. Only
+  // bucket-sized vectors are pooled (release_bucket), so a tier buffer
+  // that once held a deep burst never comes back as an 8-entry bucket.
   std::vector<std::vector<Entry>> bucket_pool_;
   std::vector<Rung> rung_pool_;
 
-  // Shared slot machinery.
+  // Slot machinery.
   std::vector<std::uint32_t> slot_gen_;  // current generation per slot
   std::vector<EventFn> slot_fn_;         // closure storage per slot
   std::vector<std::uint32_t> free_slots_;

@@ -1,7 +1,7 @@
 // Conservative (lookahead) parallel discrete-event execution.
 //
 // One simulation run is split into S spatial shards, each owning a full
-// Simulator (event heap + clock), plus one *global* Simulator for events
+// Simulator (event queue + clock), plus one *global* Simulator for events
 // that must observe a quiesced world (fault injection, overlay sampling,
 // monitors). Shards advance together through windows [m, m + L): m is the
 // earliest pending shard event, L the lookahead — the minimum latency of
@@ -27,13 +27,6 @@
 // it alone with all shards quiesced (every shard event before g has
 // executed, none at or after g has). Ties (g == m) run the global event
 // first — one fixed rule, same on every thread count.
-//
-// Queue backends: every Simulator here (global and shards) runs whichever
-// pending-set container the scenario selected (sim::QueueBackend — the
-// run layer applies one choice uniformly before anything is scheduled).
-// Nothing above depends on the container: both backends pop the identical
-// strict (time, seq) order, so the window schedule, barrier exchanges and
-// RNG draw sequences are byte-for-byte the same on heap and ladder.
 #pragma once
 
 #include <atomic>

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -195,77 +195,98 @@ TEST(EventQueue, PopAfterMassCancelFindsTheSurvivor) {
   EXPECT_TRUE(queue.empty());
 }
 
+// Reference model of the pending set: live events keyed by (time, push
+// order). Ties at equal time break by push order — the FIFO contract —
+// NOT by id value (ids are opaque handles and may be recycled internally).
+class ReferenceQueue {
+ public:
+  using Key = std::pair<double, std::uint64_t>;
+
+  Key push(double t, EventId id) {
+    const Key key{t, pushes_++};
+    live_.emplace(key, id);
+    return key;
+  }
+  /// True iff the event was still pending (not fired, not cancelled).
+  bool cancel(const Key& key) { return live_.erase(key) == 1; }
+  bool empty() const { return live_.empty(); }
+  std::size_t size() const { return live_.size(); }
+  double next_time() const { return live_.begin()->first.first; }
+  /// Remove and return the earliest event as (time, id).
+  std::pair<double, EventId> pop() {
+    const auto it = live_.begin();
+    const std::pair<double, EventId> front{it->first.first, it->second};
+    live_.erase(it);
+    return front;
+  }
+
+ private:
+  std::map<Key, EventId> live_;
+  std::uint64_t pushes_ = 0;
+};
+
+// Pop the queue and the model together and require the same event.
+void expect_same_pop(EventQueue& queue, ReferenceQueue& model,
+                     std::uint64_t pop_index) {
+  ASSERT_FALSE(queue.empty());
+  const auto popped = queue.pop();
+  const auto want = model.pop();
+  ASSERT_EQ(popped.time, want.first) << "pop " << pop_index;
+  ASSERT_EQ(popped.id, want.second) << "pop " << pop_index;
+}
+
 // Property: under random interleavings of push/cancel/pop, the queue
-// behaves exactly like a sorted reference model — on both backends.
-class EventQueueModelTest
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, p2p::sim::QueueBackend>> {};
+// behaves exactly like the sorted reference model.
+class EventQueueModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventQueueModelTest, MatchesReferenceModel) {
-  p2p::sim::RngStream rng(std::get<0>(GetParam()));
-  EventQueue queue(std::get<1>(GetParam()));
-  // Reference: map from (time, push order) to id, mirroring live events.
-  // Ties at equal time break by push order — the FIFO contract — NOT by id
-  // value (ids are opaque handles and may be recycled internally).
-  std::map<std::pair<double, std::uint64_t>, EventId> model;
-  std::uint64_t push_counter = 0;
-  std::vector<EventId> live_ids;
+  p2p::sim::RngStream rng(GetParam());
+  EventQueue queue;
+  ReferenceQueue model;
+  std::vector<std::pair<EventId, ReferenceQueue::Key>> handles;
 
   for (int step = 0; step < 2000; ++step) {
     const double roll = rng.uniform01();
     if (roll < 0.55) {
       const double t = rng.uniform(0.0, 100.0);
       const EventId id = queue.push(t, [] {});
-      model.emplace(std::make_pair(t, push_counter++), id);
-      live_ids.push_back(id);
-    } else if (roll < 0.75 && !live_ids.empty()) {
+      handles.emplace_back(id, model.push(t, id));
+    } else if (roll < 0.75 && !handles.empty()) {
       const auto pick = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(live_ids.size()) - 1));
-      const EventId id = live_ids[pick];
-      const bool was_live =
-          std::any_of(model.begin(), model.end(),
-                      [id](const auto& kv) { return kv.second == id; });
-      EXPECT_EQ(queue.cancel(id), was_live);
-      for (auto it = model.begin(); it != model.end(); ++it) {
-        if (it->second == id) {
-          model.erase(it);
-          break;
-        }
-      }
+          rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+      EXPECT_EQ(queue.cancel(handles[pick].first),
+                model.cancel(handles[pick].second));
     } else if (!model.empty()) {
-      ASSERT_FALSE(queue.empty());
       const auto popped = queue.pop();
-      const auto expect = model.begin();
-      EXPECT_DOUBLE_EQ(popped.time, expect->first.first);
-      EXPECT_EQ(popped.id, expect->second);
-      model.erase(expect);
+      const auto want = model.pop();
+      EXPECT_DOUBLE_EQ(popped.time, want.first);
+      EXPECT_EQ(popped.id, want.second);
     }
     ASSERT_EQ(queue.size(), model.size());
     if (!model.empty()) {
-      EXPECT_DOUBLE_EQ(queue.next_time(), model.begin()->first.first);
+      EXPECT_DOUBLE_EQ(queue.next_time(), model.next_time());
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, EventQueueModelTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 7, 42, 1234),
-                       ::testing::Values(p2p::sim::QueueBackend::kHeap,
-                                         p2p::sim::QueueBackend::kLadder)));
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelTest,
+                         ::testing::Values(1, 2, 3, 7, 42, 1234));
 
-// --- Ladder backend: differential equivalence with the 4-ary heap. The
-// --- strict (time, seq) total order fixes the pop sequence, so the two
-// --- backends must agree element for element — including FIFO among
-// --- equal-time ties — under tens of thousands of randomized ops.
+// --- Tiered-structure stress: tens of thousands of randomized ops deep
+// --- enough to drive spills and re-buckets, checked element for element
+// --- against the reference model — including FIFO among equal-time ties
+// --- and cancels of already-fired handles.
 
-TEST(EventQueueLadder, PopSequenceIsIdenticalToHeap) {
+TEST(EventQueueLadder, PopSequenceMatchesReferenceModel) {
   // Named stream so the op sequence is pinned independently of any other
   // RNG consumer (docs/determinism.md).
   p2p::sim::RngManager rngs(20260809);
   p2p::sim::RngStream rng = rngs.stream("queue-differential");
-  EventQueue heap(p2p::sim::QueueBackend::kHeap);
-  EventQueue ladder(p2p::sim::QueueBackend::kLadder);
-  std::vector<EventId> heap_ids, ladder_ids;  // parallel live handles
+  EventQueue queue;
+  ReferenceQueue model;
+  // Every handle ever issued: cancel picks may hit fired events, which
+  // must report false exactly when the model no longer holds them.
+  std::vector<std::pair<EventId, ReferenceQueue::Key>> handles;
 
   std::uint64_t pops = 0, ties = 0;
   double recent_time = 1.0;
@@ -273,91 +294,123 @@ TEST(EventQueueLadder, PopSequenceIsIdenticalToHeap) {
     const double roll = rng.uniform01();
     if (roll < 0.50) {
       // Mostly fresh times; 15% reuse the last pushed time to force
-      // same-instant FIFO ties through both backends.
+      // same-instant FIFO ties through every tier.
       double t = rng.uniform(0.0, 10000.0);
       if (rng.uniform01() < 0.15) {
         t = recent_time;
         ++ties;
       }
       recent_time = t;
-      heap_ids.push_back(heap.push(t, [] {}));
-      ladder_ids.push_back(ladder.push(t, [] {}));
-    } else if (roll < 0.72 && !heap_ids.empty()) {
+      const EventId id = queue.push(t, [] {});
+      handles.emplace_back(id, model.push(t, id));
+    } else if (roll < 0.72 && !handles.empty()) {
       const auto pick = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(heap_ids.size()) - 1));
-      EXPECT_EQ(heap.cancel(heap_ids[pick]), ladder.cancel(ladder_ids[pick]));
-      heap_ids.erase(heap_ids.begin() + static_cast<std::ptrdiff_t>(pick));
-      ladder_ids.erase(ladder_ids.begin() +
-                       static_cast<std::ptrdiff_t>(pick));
-    } else if (!heap.empty()) {
-      ASSERT_FALSE(ladder.empty());
-      const auto a = heap.pop();
-      const auto b = ladder.pop();
-      ASSERT_EQ(a.time, b.time) << "pop " << pops;
-      ASSERT_EQ(a.id, b.id) << "pop " << pops;
-      ++pops;
+          0, static_cast<std::int64_t>(handles.size()) - 1));
+      EXPECT_EQ(queue.cancel(handles[pick].first),
+                model.cancel(handles[pick].second));
+      handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (!model.empty()) {
+      expect_same_pop(queue, model, pops++);
     }
-    ASSERT_EQ(heap.size(), ladder.size());
-    ASSERT_EQ(heap.next_time(), ladder.next_time());
+    ASSERT_EQ(queue.size(), model.size());
+    ASSERT_EQ(queue.next_time(), model.empty() ? kTimeNever
+                                               : model.next_time());
   }
-  // Drain the remainder in lockstep.
-  while (!heap.empty()) {
-    ASSERT_FALSE(ladder.empty());
-    const auto a = heap.pop();
-    const auto b = ladder.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.id, b.id);
-    ++pops;
-  }
-  EXPECT_TRUE(ladder.empty());
+  while (!model.empty()) expect_same_pop(queue, model, pops++);
+  EXPECT_TRUE(queue.empty());
   EXPECT_GT(pops, 10000U);
   EXPECT_GT(ties, 1000U);
   // The workload is deep enough to exercise the rung machinery, not just
   // the bottom tier.
-  EXPECT_GT(ladder.stats().ladder_spills, 0U);
-  EXPECT_EQ(heap.stats().pops, ladder.stats().pops);
+  EXPECT_GT(queue.stats().ladder_spills, 0U);
+  EXPECT_EQ(queue.stats().pops, pops);
 }
 
 // A monotone-time workload shaped like the simulator's (pop one, push a
-// few slightly ahead) keeps the two backends in lockstep as well.
-TEST(EventQueueLadder, SteadyStateSimShapedWorkloadMatchesHeap) {
+// few slightly ahead) keeps the queue in lockstep with the model as well.
+TEST(EventQueueLadder, SteadyStateSimShapedWorkloadMatchesReferenceModel) {
   p2p::sim::RngManager rngs(7);
   p2p::sim::RngStream rng = rngs.stream("queue-steady");
-  EventQueue heap(p2p::sim::QueueBackend::kHeap);
-  EventQueue ladder(p2p::sim::QueueBackend::kLadder);
+  EventQueue queue;
+  ReferenceQueue model;
   for (int i = 0; i < 2000; ++i) {
     const double t = rng.uniform(0.0, 10.0);
-    heap.push(t, [] {});
-    ladder.push(t, [] {});
+    model.push(t, queue.push(t, [] {}));
   }
-  for (int i = 0; i < 30000; ++i) {
-    const auto a = heap.pop();
-    const auto b = ladder.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.id, b.id);
+  for (std::uint64_t i = 0; i < 30000; ++i) {
+    const double now = model.next_time();
+    expect_same_pop(queue, model, i);
     const int fanout = static_cast<int>(rng.uniform_int(0, 2));
     for (int f = 0; f < fanout; ++f) {
       // Mix of short frame-like delays and long timer-like delays.
       const double delay = rng.uniform01() < 0.8
                                ? rng.uniform(1e-4, 1e-3)
                                : rng.uniform(1.0, 30.0);
-      heap.push(a.time + delay, [] {});
-      ladder.push(a.time + delay, [] {});
+      model.push(now + delay, queue.push(now + delay, [] {}));
     }
-    ASSERT_EQ(heap.size(), ladder.size());
+    ASSERT_EQ(queue.size(), model.size());
   }
-  EXPECT_GT(ladder.stats().ladder_spills, 0U);
+  EXPECT_GT(queue.stats().ladder_spills, 0U);
 }
 
-// --- Tombstone compaction (both backends): a cancel-heavy run must not
-// --- carry an unbounded dead fraction until tombstones surface at the
-// --- front — the threshold sweep reclaims them eagerly.
+// --- Memory bound: every buffer the queue keeps — tiers, rungs, and the
+// --- recycled-bucket pool — stays proportional to the most entries it
+// --- ever stored. Deep bursts (some at a single instant, which cannot be
+// --- re-bucketed and land in the bottom tier whole) followed by drains
+// --- must not leave each recycled bucket carrying a burst's capacity.
 
-class EventQueueCompactionTest
-    : public ::testing::TestWithParam<p2p::sim::QueueBackend> {};
+TEST(EventQueueLadder, MemoryStaysProportionalToPeakStoredEntries) {
+  p2p::sim::RngManager rngs(20261017);
+  p2p::sim::RngStream rng = rngs.stream("queue-memory");
+  EventQueue queue;
+  double now = 0.0;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    // Burst: a spread of future events plus a block of same-instant ties,
+    // with a fraction cancelled before they surface.
+    std::vector<EventId> ids;
+    const auto burst = static_cast<std::size_t>(rng.uniform_int(2000, 6000));
+    for (std::size_t i = 0; i < burst; ++i) {
+      ids.push_back(queue.push(now + rng.uniform(0.0, 50.0), [] {}));
+    }
+    const double instant = now + rng.uniform(0.0, 50.0);
+    const auto ties = static_cast<std::size_t>(rng.uniform_int(500, 3000));
+    for (std::size_t i = 0; i < ties; ++i) {
+      ids.push_back(queue.push(instant, [] {}));
+    }
+    for (const EventId id : ids) {
+      if (rng.uniform01() < 0.2) queue.cancel(id);
+    }
+    // Drain, pushing near-future follow-ups the way the simulator does,
+    // until only a shallow standing set remains.
+    while (queue.size() > 64) {
+      now = queue.pop().time;
+      if (rng.uniform01() < 0.3) {
+        queue.push(now + rng.uniform(1e-4, 1e-2), [] {});
+      }
+    }
+  }
+  EXPECT_GE(queue.stats().ladder_spills, 40U);
+  EXPECT_GT(queue.stats().ladder_rebuckets, 0U);
+  // Slot storage (generation, inline closure, free-list index) scales
+  // with the live peak, entry storage with the stored peak; the 2x covers
+  // vector doubling. A pool that bounds how many vectors it recycles but
+  // not their capacity fails this: each cycle leaves another burst-sized
+  // vector in it.
+  const std::size_t slot_bytes =
+      sizeof(std::uint32_t) + sizeof(p2p::sim::EventFn) + sizeof(std::uint32_t);
+  const std::size_t entry_bytes = 24;  // the queue's {time, seq, slot, gen}
+  const std::size_t bound = 2 * queue.peak_size() * slot_bytes +
+                            4 * queue.peak_raw_size() * entry_bytes + 65536;
+  EXPECT_LE(queue.memory_bytes(), bound)
+      << "peak_raw_size " << queue.peak_raw_size();
+}
 
-TEST_P(EventQueueCompactionTest, MassCancelTriggersCompaction) {
-  EventQueue queue(GetParam());
+// --- Tombstone compaction: a cancel-heavy run must not carry an
+// --- unbounded dead fraction until tombstones surface at the front — the
+// --- threshold sweep reclaims them eagerly.
+
+TEST(EventQueueCompaction, MassCancelTriggersCompaction) {
+  EventQueue queue;
   std::vector<EventId> ids;
   for (int i = 0; i < 4096; ++i) {
     ids.push_back(queue.push(static_cast<double>(i % 97), [] {}));
@@ -379,8 +432,8 @@ TEST_P(EventQueueCompactionTest, MassCancelTriggersCompaction) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST_P(EventQueueCompactionTest, RawPeakBoundsLivePeak) {
-  EventQueue queue(GetParam());
+TEST(EventQueueCompaction, RawPeakBoundsLivePeak) {
+  EventQueue queue;
   p2p::sim::RngStream rng(99);
   std::vector<EventId> ids;
   for (int step = 0; step < 20000; ++step) {
@@ -400,18 +453,14 @@ TEST_P(EventQueueCompactionTest, RawPeakBoundsLivePeak) {
   EXPECT_LE(queue.peak_raw_size(), 2 * queue.peak_size() + 128);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueCompactionTest,
-                         ::testing::Values(p2p::sim::QueueBackend::kHeap,
-                                           p2p::sim::QueueBackend::kLadder));
-
-// --- Full-scenario equivalence: a shrunk megascale-shaped run (paper
+// --- Full-scenario regression: a shrunk megascale-shaped run (paper
 // --- density, AODV, staggered joins — the `megascale --smoke` recipe at
-// --- a tier-1-friendly population) must report the identical world on
-// --- both backends. The full-size equivalence is enforced by bench_guard:
-// --- megascale.smoke (10k nodes) selects the ladder through the default
-// --- gate, and its pinned counters were recorded on the heap.
+// --- a tier-1-friendly population) must report the identical world the
+// --- 4-ary heap produced before the ladder became the only queue. Pop
+// --- order is the strict (time, seq) order, so the container can never
+// --- move these counters; bench_guard pins the same for megascale.smoke.
 
-TEST(EventQueueLadder, MegascaleShapedScenarioMatchesHeapBackend) {
+TEST(EventQueueLadder, MegascaleShapedScenarioMatchesPinnedCounters) {
   p2p::scenario::Parameters params;
   params.algorithm = p2p::core::AlgorithmKind::kRegular;
   params.num_nodes = 2000;
@@ -424,30 +473,21 @@ TEST(EventQueueLadder, MegascaleShapedScenarioMatchesHeapBackend) {
   params.join_stagger_s = 3.0;
   params.overlay_sample_interval_s = 0.0;
 
-  params.ladder_queue_min_nodes = std::size_t(-1);  // force the heap
-  ASSERT_FALSE(params.use_ladder_queue());
-  p2p::scenario::SimulationRun heap_run(params);
-  const p2p::scenario::RunResult heap = heap_run.run();
+  p2p::scenario::SimulationRun run(params);
+  const p2p::scenario::RunResult r = run.run();
 
-  params.ladder_queue_min_nodes = 0;  // force the ladder
-  ASSERT_TRUE(params.use_ladder_queue());
-  p2p::scenario::SimulationRun ladder_run(params);
-  const p2p::scenario::RunResult ladder = ladder_run.run();
-
-  ASSERT_GT(heap.frames_delivered, 0U);
-  ASSERT_GT(ladder.queue_ladder_spills, 0U);
-  EXPECT_EQ(heap.events_processed, ladder.events_processed);
-  EXPECT_EQ(heap.frames_transmitted, ladder.frames_transmitted);
-  EXPECT_EQ(heap.frames_delivered, ladder.frames_delivered);
-  EXPECT_EQ(heap.frames_lost, ladder.frames_lost);
-  EXPECT_EQ(heap.peak_queue_depth, ladder.peak_queue_depth);
-  EXPECT_EQ(heap.queue_pushes, ladder.queue_pushes);
-  EXPECT_EQ(heap.queue_pops, ladder.queue_pops);
-  EXPECT_EQ(heap.energy_consumed_j, ladder.energy_consumed_j);
-  EXPECT_EQ(heap.routing_control_messages, ladder.routing_control_messages);
-  EXPECT_EQ(heap.connections_established, ladder.connections_established);
-  EXPECT_EQ(heap.connections_closed, ladder.connections_closed);
-  EXPECT_EQ(heap.query_success_rate(), ladder.query_success_rate());
+  ASSERT_GT(r.queue_ladder_spills, 0U);
+  EXPECT_EQ(r.events_processed, 35504U);
+  EXPECT_EQ(r.frames_transmitted, 31327U);
+  EXPECT_EQ(r.frames_delivered, 45406U);
+  EXPECT_EQ(r.frames_lost, 0U);
+  EXPECT_EQ(r.peak_queue_depth, 5406U);
+  EXPECT_EQ(r.queue_pushes, 43081U);
+  EXPECT_EQ(r.queue_pops, 35504U);
+  EXPECT_EQ(r.energy_consumed_j, 4.974542000000004);
+  EXPECT_EQ(r.routing_control_messages, 7898U);
+  EXPECT_EQ(r.connections_established, 2267U);
+  EXPECT_EQ(r.connections_closed, 1U);
 }
 
 }  // namespace

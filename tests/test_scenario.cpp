@@ -131,6 +131,14 @@ TEST(Parameters, ApplyRejectsOutOfRangeValues) {
   expect_rejects("min_speed", "5");
 }
 
+TEST(Parameters, ApplyRejectsRemovedQueueBackendGate) {
+  // The event queue has one backend and no selection knob: the old gate
+  // is an unknown key like any other, not a silently ignored setting.
+  util::Config config;
+  config.set("ladder_queue_min_nodes", "0");
+  EXPECT_EQ(Parameters{}.apply(config), "unknown key: ladder_queue_min_nodes");
+}
+
 TEST(Parameters, ApplyReportsFirstProblemAndAppliesNothingAfter) {
   // A config with both a bad value and a later unknown key reports the
   // parse problem (getters run first), not a misleading unknown-key

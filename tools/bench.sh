@@ -30,7 +30,7 @@
 #       Exit 1 if any bench is more than PCT slower in label-b (default 5),
 #       or if any paired bench's peak_queue counter differs between the
 #       labels: peak_queue is a fixed-seed determinism counter (identical
-#       on both queue backends and every thread count), so drift means the
+#       on every queue layout and every thread count), so drift means the
 #       event history changed — a correctness failure, not a perf delta.
 #   tools/bench.sh --threads <list> [label] [--smoke]
 #       Thread-scaling sweep: run the megascale tier once per thread count
@@ -102,7 +102,7 @@ if [ "${1:-}" = "--compare" ]; then
       }
       # peak_queue is a fixed-seed counter (live high-water mark of the
       # event queue), not a throughput: identical workload => identical
-      # value, on either queue backend and any thread count. Track it per
+      # value, on any queue layout and any thread count. Track it per
       # (bench, label) so the END block can flag drift as determinism
       # breakage, not as a perf delta.
       pq = ""
@@ -155,7 +155,7 @@ if [ "${1:-}" = "--compare" ]; then
         # peak_queue drift between labels of the same workload means the
         # event history itself changed — a determinism break (or an
         # unflagged model change), never a legitimate perf delta. Hard
-        # failure: a backend or parallelism change must reproduce the
+        # failure: a queue or parallelism change must reproduce the
         # pending-set high-water mark exactly.
         if ((bench in pa) && (bench in pb) && pa[bench] != pb[bench]) {
           flag = flag sprintf("  << PEAK_QUEUE DRIFT (%d -> %d)",
