@@ -1,28 +1,10 @@
 #include "net/neighbor_index.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/assert.hpp"
 
 namespace p2p::net {
-
-namespace {
-constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
-
-// Upper bound on how stale an indexed position may get, in units of the
-// refresh tolerance. Bounds the age-compensated prune reach (tolerance
-// 0.25 s, 1 m/s => at most +1 m over the fresh-entry reach) at the cost
-// of resampling a parked node once per kMaxAgeTolerances windows.
-constexpr double kMaxAgeTolerances = 4.0;
-
-/// Min-heap order on (deadline, id).
-bool due_after(const NeighborIndex::Due& a,
-               const NeighborIndex::Due& b) noexcept {
-  if (a.deadline != b.deadline) return a.deadline > b.deadline;
-  return a.id > b.id;
-}
-}  // namespace
 
 NeighborIndex::NeighborIndex(geo::Region region, double range,
                              double tolerance_s, double max_speed)
@@ -43,7 +25,6 @@ NeighborIndex::NeighborIndex(geo::Region region, double range,
       1, static_cast<std::size_t>(region.height / cell_size_));
   cell_start_.resize(cols_ * rows_ + 1, 0);
   cell_fill_.resize(cols_ * rows_, 0);
-  cell_min_sampled_.resize(cols_ * rows_, 0.0);
 }
 
 std::size_t NeighborIndex::cell_of(geo::Vec2 p) const noexcept {
@@ -55,177 +36,36 @@ std::size_t NeighborIndex::cell_of(geo::Vec2 p) const noexcept {
   return cy * cols_ + cx;
 }
 
-sim::SimTime NeighborIndex::cell_safe_deadline(geo::Vec2 p, std::size_t cell,
-                                               sim::SimTime t) const noexcept {
-  if (max_speed_ <= 0.0) return kNever;
-  const geo::Vec2 q = region_.clamp(p);
-  const std::size_t cx = cell % cols_;
-  const std::size_t cy = cell / cols_;
-  // Distance to the nearest boundary the node could actually cross.
-  // Region edges are not crossable (cell_of clamps), so border cells are
-  // unbounded on their outer sides.
-  double d = kNever;
-  if (cx > 0) d = std::min(d, q.x - static_cast<double>(cx) * cell_size_);
-  if (cx + 1 < cols_) {
-    d = std::min(d, static_cast<double>(cx + 1) * cell_size_ - q.x);
+void NeighborIndex::refresh(sim::SimTime now,
+                            const std::vector<geo::Vec2>& positions) {
+  if (is_fresh(now, positions.size())) return;
+  const std::size_t n = positions.size();
+  if (node_cell_.size() < n) {
+    ++alloc_events_;
+    node_pos_.resize(n);
+    node_cell_.resize(n);
+    cell_nodes_.resize(n);
+    cell_pos_.resize(n);
   }
-  if (cy > 0) d = std::min(d, q.y - static_cast<double>(cy) * cell_size_);
-  if (cy + 1 < rows_) {
-    d = std::min(d, static_cast<double>(cy + 1) * cell_size_ - q.y);
-  }
-  if (d < 0.0) d = 0.0;  // fp slack at a boundary: always resample
-  // Cap entry age even when the node cannot cross a boundary (it is
-  // parked mid-cell, or the grid has a single cell): the candidate prune
-  // widens its reach by age * max_speed, so unbounded age would degrade
-  // the prune to accept-everything in that cell. Resampling earlier than
-  // strictly necessary is always safe for the bit-identity contract — a
-  // full rebuild resamples every node.
-  const sim::SimTime cap = t + kMaxAgeTolerances * tolerance_;
-  if (d == kNever) return cap;
-  return std::min(t + d / max_speed_, cap);
-}
-
-void NeighborIndex::heap_push(Due due) {
-  push_tracked(heap_, due);
-  std::push_heap(heap_.begin(), heap_.end(), due_after);
-}
-
-NeighborIndex::Due NeighborIndex::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), due_after);
-  const Due due = heap_.back();
-  heap_.pop_back();
-  return due;
-}
-
-void NeighborIndex::rebuild_csr(std::size_t n) {
   // Counting sort of ids into cells. Ids are visited ascending, so every
-  // cell comes out id-sorted — the candidate order both maintenance modes
-  // guarantee. No mobility sampling happens here: this pass only moves
-  // cached per-node state into the contiguous query layout.
+  // cell comes out id-sorted — the candidate order the RNG draw sequence
+  // is keyed to.
   const std::size_t cells = cols_ * rows_;
   std::fill(cell_start_.begin(), cell_start_.end(), 0);
   for (std::size_t i = 0; i < n; ++i) {
+    node_pos_[i] = positions[i];
+    node_cell_[i] = static_cast<std::uint32_t>(cell_of(positions[i]));
     ++cell_start_[node_cell_[i] + 1];
   }
   for (std::size_t c = 0; c < cells; ++c) {
     cell_start_[c + 1] += cell_start_[c];
   }
-  if (cell_nodes_.size() < n) {
-    ++alloc_events_;
-    cell_nodes_.resize(n);
-    cell_pos_.resize(n);
-  }
   std::copy(cell_start_.begin(), cell_start_.end() - 1, cell_fill_.begin());
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t c = node_cell_[i];
-    const std::uint32_t at = cell_fill_[c]++;
+    const std::uint32_t at = cell_fill_[node_cell_[i]]++;
     cell_nodes_[at] = static_cast<NodeId>(i);
     cell_pos_[at] = node_pos_[i];
-    // First entry of the cell resets the min (cell_fill_ just advanced to
-    // start + 1); later entries fold in.
-    if (at == cell_start_[c]) {
-      cell_min_sampled_[c] = node_sampled_[i];
-    } else if (node_sampled_[i] < cell_min_sampled_[c]) {
-      cell_min_sampled_[c] = node_sampled_[i];
-    }
   }
-}
-
-void NeighborIndex::refresh(sim::SimTime now,
-                            const std::vector<geo::Vec2>& positions) {
-  if (is_fresh(now, positions.size())) return;
-  const std::size_t n = positions.size();
-  // Full rebuilds have no use for the deadline heap (every refresh
-  // resamples everyone); drop it and let refresh_incremental rebuild it
-  // lazily if the caller ever switches modes.
-  heap_.clear();
-  heap_valid_ = false;
-  if (node_cell_.size() < n) {
-    ++alloc_events_;
-    node_pos_.resize(n);
-    node_sampled_.resize(n);
-    node_cell_.resize(n);
-    node_deadline_.resize(n);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    node_pos_[i] = positions[i];
-    node_sampled_[i] = now;
-    node_cell_[i] = static_cast<std::uint32_t>(cell_of(positions[i]));
-  }
-  nodes_resampled_ += n;
-  rebuild_csr(n);
-  indexed_count_ = n;
-  built_at_ = now;
-  ever_built_ = true;
-}
-
-void NeighborIndex::refresh_incremental(sim::SimTime now, std::size_t n,
-                                        PositionSampler sampler, void* ctx) {
-  // Gated on the SAME staleness tolerance as the full rebuild, so both
-  // modes refresh at identical instants T_k. Within a window the layout
-  // stays frozen — exactly like the full rebuild, whose assignments are
-  // the candidate order the RNG draw sequence is keyed to. At T_k the
-  // nodes whose cell-safe deadline expired are resampled; the rest
-  // provably sit in cell_of(position at T_k) already, so the resulting
-  // assignment equals a full rebuild at T_k cell-for-cell.
-  if (is_fresh(now, n)) return;
-  // New nodes: sample and register. Reserving the heap and the due
-  // scratch up front makes their steady-state use provably allocation-free:
-  // every node has exactly one live heap entry (pop before re-arm), so
-  // neither can outgrow n.
-  if (node_cell_.size() < n) {
-    ++alloc_events_;
-    node_pos_.resize(n);
-    node_sampled_.resize(n);
-    node_cell_.resize(n);
-    node_deadline_.resize(n);
-    heap_.reserve(n);
-    due_scratch_.reserve(n);
-  }
-  if (!heap_valid_) {
-    // A full rebuild ran since the last incremental refresh (mode switch):
-    // its entries carry no deadlines. Re-arm everyone once.
-    heap_.clear();
-    for (std::size_t i = 0; i < indexed_count_; ++i) {
-      const sim::SimTime deadline =
-          cell_safe_deadline(node_pos_[i], node_cell_[i], node_sampled_[i]);
-      node_deadline_[i] = deadline;
-      heap_.push_back(Due{deadline, static_cast<NodeId>(i)});
-    }
-    std::make_heap(heap_.begin(), heap_.end(), due_after);
-    heap_valid_ = true;
-  }
-  for (std::size_t i = indexed_count_; i < n; ++i) {
-    const geo::Vec2 pos = sampler(ctx, static_cast<NodeId>(i));
-    const auto c = static_cast<std::uint32_t>(cell_of(pos));
-    node_pos_[i] = pos;
-    node_sampled_[i] = now;
-    node_cell_[i] = c;
-    const sim::SimTime deadline = cell_safe_deadline(pos, c, now);
-    node_deadline_[i] = deadline;
-    heap_push(Due{deadline, static_cast<NodeId>(i)});
-    ++nodes_resampled_;
-  }
-  // Expired deadlines: these nodes may have crossed a cell boundary since
-  // they were last sampled — resample just them. Two-phase (drain, then
-  // re-arm) because re-arming pushes fresh heap entries, some of which can
-  // be due again immediately (a node sitting on a boundary).
-  due_scratch_.clear();
-  while (!heap_.empty() && heap_.front().deadline <= now) {
-    push_tracked(due_scratch_, heap_pop());
-  }
-  for (const Due& due : due_scratch_) {
-    const geo::Vec2 pos = sampler(ctx, due.id);
-    const auto c = static_cast<std::uint32_t>(cell_of(pos));
-    node_pos_[due.id] = pos;
-    node_sampled_[due.id] = now;
-    node_cell_[due.id] = c;
-    const sim::SimTime deadline = cell_safe_deadline(pos, c, now);
-    node_deadline_[due.id] = deadline;
-    heap_push(Due{deadline, due.id});
-    ++nodes_resampled_;
-  }
-  rebuild_csr(n);
   indexed_count_ = n;
   built_at_ = now;
   ever_built_ = true;
@@ -239,12 +79,14 @@ void NeighborIndex::candidates_near(geo::Vec2 center, sim::SimTime now,
   const geo::Vec2 q = region_.clamp(center);
   const auto cx = static_cast<std::ptrdiff_t>(q.x / cell_size_);
   const auto cy = static_cast<std::ptrdiff_t>(q.y / cell_size_);
-  // Full-rebuild mode samples every entry at built_at_, so the per-span
-  // oldest-sample fold below is a known constant — skip it and use one
-  // uniform reach. (heap_valid_ is only set by incremental refreshes.)
-  const bool uniform_age = !heap_valid_;
-  const double uniform_reach = range_ + (now - built_at_) * max_speed_;
-  const double uniform_reach2 = uniform_reach * uniform_reach;
+  // Every entry was sampled at built_at_: a true neighbor sits within
+  // `range_` of the (fresh) query center, and its stored position can sit
+  // at most (now - built_at_) * max_speed from its true position, so this
+  // reach never rejects a true neighbor. No drift margin is added on top —
+  // the margin sizes cells for 3x3 *coverage*; the prune radius only needs
+  // the stored-position error bound.
+  const double reach = range_ + (now - built_at_) * max_speed_;
+  const double reach2 = reach * reach;
   const std::ptrdiff_t x0 = cx > 0 ? cx - 1 : 0;
   const std::ptrdiff_t x1 = cx + 1 < static_cast<std::ptrdiff_t>(cols_)
                                 ? cx + 1
@@ -259,27 +101,6 @@ void NeighborIndex::candidates_near(geo::Vec2 center, sim::SimTime now,
     // contiguous span scanned with a single filter.
     const std::uint32_t lo = cell_start_[c0];
     const std::uint32_t hi = cell_start_[c1 + 1];
-    if (lo == hi) continue;
-    // Age-compensated prune, hoisted per row-triple: a true neighbor sits
-    // within `range_` of the (fresh) query center, and its stored position
-    // can sit at most age * max_speed from its true position, so
-    // range_ + age * max_speed never rejects a true neighbor. The triple's
-    // oldest sample bounds every entry in the span. No drift margin is
-    // added on top — the margin exists to size cells for 3x3 *coverage*
-    // (true positions stay within one tolerance band of their assigned
-    // cell); the prune radius only needs the stored-position error bound.
-    double reach2 = uniform_reach2;
-    if (!uniform_age) {
-      sim::SimTime oldest = now;  // empty cells hold stale mins; skip them
-      for (std::size_t c = c0; c <= c1; ++c) {
-        if (cell_start_[c] != cell_start_[c + 1] &&
-            cell_min_sampled_[c] < oldest) {
-          oldest = cell_min_sampled_[c];
-        }
-      }
-      const double reach = range_ + (now - oldest) * max_speed_;
-      reach2 = reach * reach;
-    }
     for (std::uint32_t k = lo; k < hi; ++k) {
       if (geo::distance2(cell_pos_[k], center) <= reach2) {
         out->push_back(cell_nodes_[k]);
@@ -290,16 +111,11 @@ void NeighborIndex::candidates_near(geo::Vec2 center, sim::SimTime now,
 
 std::size_t NeighborIndex::memory_bytes() const noexcept {
   return node_pos_.capacity() * sizeof(geo::Vec2) +
-         node_sampled_.capacity() * sizeof(sim::SimTime) +
          node_cell_.capacity() * sizeof(std::uint32_t) +
-         node_deadline_.capacity() * sizeof(sim::SimTime) +
-         heap_.capacity() * sizeof(Due) +
-         due_scratch_.capacity() * sizeof(Due) +
          cell_start_.capacity() * sizeof(std::uint32_t) +
          cell_fill_.capacity() * sizeof(std::uint32_t) +
          cell_nodes_.capacity() * sizeof(NodeId) +
-         cell_pos_.capacity() * sizeof(geo::Vec2) +
-         cell_min_sampled_.capacity() * sizeof(sim::SimTime);
+         cell_pos_.capacity() * sizeof(geo::Vec2);
 }
 
 }  // namespace p2p::net

@@ -8,32 +8,13 @@
 // candidate order every delivery loop (and therefore every RNG draw
 // sequence) is keyed to that layout.
 //
-// Two maintenance modes share that query path:
-//
-//  * full rebuild (`refresh`): every position is resampled, then the CSR
-//    arrays are rebuilt with a counting pass. Steady-state rebuilds are
-//    allocation-free — all arrays keep their capacity (see
-//    alloc_events()).
-//
-//  * incremental (`refresh_incremental`): only nodes whose *cell-safe
-//    deadline* has expired are resampled. The deadline is the earliest
-//    time a node could cross its cell boundary (distance to the boundary
-//    divided by the maximum speed), so between expirations the node's
-//    cell assignment provably equals what a full rebuild would compute.
-//    The CSR placement pass still runs — it is a memcpy-grade counting
-//    sort over cached per-node state — but the expensive part of a
-//    refresh, sampling the mobility model, drops from O(n) to
-//    O(boundary-crossers). Cell assignment (and thus candidate order) is
-//    bit-identical to full-rebuild mode.
-//
-// Incremental entries can therefore hold positions sampled several
-// refreshes ago (deadlines are capped, so never more than a few
-// tolerance windows). The candidate prune compensates per scanned span:
-// a span whose oldest entry was sampled `a` ago is scanned with
-// range + a * max_speed, which never rejects a node that is truly in
-// range now (each entry's own staleness is at most the span's, and
-// staleness bounds how far the stored position can sit from the true
-// one). Pruning is conservative either way — callers must do the exact
+// Maintenance is one full rebuild per tolerance window (`refresh`):
+// every position is resampled, then the CSR arrays are rebuilt with a
+// counting pass. Steady-state rebuilds are allocation-free — all arrays
+// keep their capacity (see alloc_events()). Every entry is therefore
+// sampled at built_at(), so the candidate prune is one uniform reach,
+// range + (now - built_at) * max_speed, which never rejects a node that is
+// truly in range now. Pruning is conservative — callers must do the exact
 // range check against fresh positions.
 #pragma once
 
@@ -48,21 +29,8 @@ namespace p2p::net {
 
 class NeighborIndex {
  public:
-  /// Samples the current position of a node (used by incremental
-  /// maintenance to resample only the nodes whose deadline expired).
-  /// Kept as a plain function-pointer + context pair so refresh stays
-  /// out-of-line without a std::function allocation.
-  using PositionSampler = geo::Vec2 (*)(void* ctx, NodeId id);
-
   NeighborIndex(geo::Region region, double range, double tolerance_s,
                 double max_speed);
-
-  /// A node's next cell-boundary-crossing deadline (public only so the
-  /// heap comparator can live out-of-line).
-  struct Due {
-    sim::SimTime deadline;
-    NodeId id;
-  };
 
   /// Whether the index built for `n` nodes is still within tolerance at
   /// `now` (i.e. refresh() would be a no-op). The single source of truth
@@ -76,59 +44,34 @@ class NeighborIndex {
   /// position at time `now`.
   void refresh(sim::SimTime now, const std::vector<geo::Vec2>& positions);
 
-  /// Incremental maintenance: index `n` nodes as of `now`, resampling via
-  /// `sampler` only the nodes that are new or whose cell-safe deadline
-  /// expired. Produces the same cell assignment (and thus the same
-  /// candidate order) as a full rebuild at `now`.
-  void refresh_incremental(sim::SimTime now, std::size_t n,
-                           PositionSampler sampler, void* ctx);
-
   /// Nodes whose indexed position may be within range of `center` at
-  /// `now` (stored positions are pruned with an age-compensated per-cell
-  /// reach). Candidates only — callers must do the exact check against
-  /// fresh positions. `out` is cleared first.
+  /// `now` (stored positions are pruned with the uniform reach above).
+  /// Candidates only — callers must do the exact check against fresh
+  /// positions. `out` is cleared first.
   void candidates_near(geo::Vec2 center, sim::SimTime now,
                        std::vector<NodeId>* out) const;
 
   sim::SimTime built_at() const noexcept { return built_at_; }
   bool ever_built() const noexcept { return ever_built_; }
 
-  /// Cached position of node `id` as of its last (re)sample — the exact
-  /// positions the CSR query arrays are built from. Sharded execution
-  /// filters ranges against these (stale by at most the tolerance) so a
-  /// window never touches the mobility models. Valid for id < the indexed
+  /// Cached position of node `id` as of built_at() — the exact positions
+  /// the CSR query arrays are built from. Sharded execution filters
+  /// ranges against these (stale by at most the tolerance) so a window
+  /// never touches the mobility models. Valid for id < the indexed
   /// population.
   geo::Vec2 cached_position(NodeId id) const noexcept { return node_pos_[id]; }
 
-  /// How often a refresh (full or incremental) had to grow a buffer. The
-  /// steady-state lock-in test pins this: once warmed up, rebuilds over a
-  /// fixed population allocate nothing.
+  /// How often a refresh had to grow a buffer. The steady-state lock-in
+  /// test pins this: once warmed up, rebuilds over a fixed population
+  /// allocate nothing.
   std::uint64_t alloc_events() const noexcept { return alloc_events_; }
-  /// Nodes actually resampled by incremental refreshes (the "O(active)"
-  /// in the maintenance cost; full rebuilds count every node).
-  std::uint64_t nodes_resampled() const noexcept { return nodes_resampled_; }
 
   /// Bytes resident in the index's own structures (CSR arrays, per-node
-  /// arrays, deadline heap) — megascale memory accounting.
+  /// arrays) — megascale memory accounting.
   std::size_t memory_bytes() const noexcept;
 
  private:
   std::size_t cell_of(geo::Vec2 p) const noexcept;
-  /// Earliest time a node sampled at `t` at position `p` (already known
-  /// to be in cell `cell`) could cross that cell's boundary.
-  sim::SimTime cell_safe_deadline(geo::Vec2 p, std::size_t cell,
-                                  sim::SimTime t) const noexcept;
-  /// Rebuild the CSR query arrays from the per-node cached state
-  /// (counting sort; iterating ids ascending keeps each cell id-sorted).
-  void rebuild_csr(std::size_t n);
-  /// Track capacity growth of an internal vector push.
-  template <typename Vec, typename T>
-  void push_tracked(Vec& v, const T& value) {
-    if (v.size() == v.capacity()) ++alloc_events_;
-    v.push_back(value);
-  }
-  void heap_push(Due due);
-  Due heap_pop();
 
   geo::Region region_;
   double range_;
@@ -139,31 +82,22 @@ class NeighborIndex {
   std::size_t cols_ = 0;
   std::size_t rows_ = 0;
 
-  // Per-node cached state: the incremental side. A node's entry changes
-  // only when it is (re)sampled.
-  std::vector<geo::Vec2> node_pos_;          // position when last sampled
-  std::vector<sim::SimTime> node_sampled_;   // when node_pos_ was sampled
-  std::vector<std::uint32_t> node_cell_;     // node -> current cell
-  std::vector<sim::SimTime> node_deadline_;  // node -> cell-safe deadline
-  std::vector<Due> heap_;                    // min-heap on (deadline, id)
-  std::vector<Due> due_scratch_;             // drained-this-refresh staging
+  // Per-node state as of built_at_.
+  std::vector<geo::Vec2> node_pos_;       // position at built_at_
+  std::vector<std::uint32_t> node_cell_;  // node -> cell
 
-  // CSR query arrays, rebuilt from the per-node state once per refresh
-  // window: nodes of cell c live at [cell_start_[c], cell_start_[c+1])
-  // in cell_nodes_, id-ascending, with their cached positions alongside
-  // in cell_pos_.
+  // CSR query arrays, rebuilt once per refresh window: nodes of cell c
+  // live at [cell_start_[c], cell_start_[c+1]) in cell_nodes_,
+  // id-ascending, with their cached positions alongside in cell_pos_.
   std::vector<std::uint32_t> cell_start_;        // cells + 1 offsets
   std::vector<std::uint32_t> cell_fill_;         // counting-pass cursor
   std::vector<NodeId> cell_nodes_;
   std::vector<geo::Vec2> cell_pos_;
-  std::vector<sim::SimTime> cell_min_sampled_;   // oldest sample per cell
 
   std::size_t indexed_count_ = 0;
   sim::SimTime built_at_ = -1.0;
   bool ever_built_ = false;
-  bool heap_valid_ = false;  // full rebuilds drop the deadline heap
   std::uint64_t alloc_events_ = 0;
-  std::uint64_t nodes_resampled_ = 0;
 };
 
 }  // namespace p2p::net

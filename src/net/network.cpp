@@ -144,34 +144,19 @@ bool Network::in_range(NodeId a, NodeId b) {
   return geo::distance2(position_of(a), position_of(b)) <= r2;
 }
 
-geo::Vec2 Network::sample_position(void* ctx, NodeId id) {
-  return static_cast<Network*>(ctx)->position_of(id);
-}
-
-void Network::refresh_index() {
-  const sim::SimTime now = sim_->now();
-  if (params_.incremental_index &&
-      nodes_.size() >= params_.incremental_index_min_nodes) {
-    // O(new + due): the index resamples only nodes whose cell-safe
-    // deadline expired; everyone else's bucket assignment is provably
-    // still what a full rebuild would compute.
-    index_.refresh_incremental(now, nodes_.size(), &Network::sample_position,
-                               this);
-    return;
-  }
-  // Full-rebuild mode: NeighborIndex decides internally whether it is
-  // stale; we pay the O(n) position sampling only when it actually
-  // rebuilds, so probe first.
-  if (index_.is_fresh(now, nodes_.size())) return;
+void Network::refresh_index(sim::SimTime t) {
+  // Probe first: the O(n) position sampling is paid only when the index
+  // actually rebuilds.
+  if (index_.is_fresh(t, nodes_.size())) return;
   scratch_positions_.resize(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    scratch_positions_[i] = position_of(i);  // warms the per-node cache too
+    scratch_positions_[i] = sample_position_at(i, t);
   }
-  index_.refresh(now, scratch_positions_);
+  index_.refresh(t, scratch_positions_);
 }
 
 void Network::receivers_of(NodeId sender, std::vector<NodeId>* out) {
-  refresh_index();
+  refresh_index(sim_->now());
   const geo::Vec2 sp = position_of(sender);  // sampled once, reused below
   index_.candidates_near(sp, sim_->now(), &scratch_candidates_);
   out->clear();
@@ -200,7 +185,7 @@ void Network::adjacency_snapshot(std::vector<std::vector<NodeId>>* out) {
   P2P_DASSERT(tls_lane_ == nullptr);  // global-clock snapshot, barrier-only
   P2P_ASSERT(out != nullptr);
   out->resize(nodes_.size());
-  refresh_index();
+  refresh_index(sim_->now());
   // Force an exact snapshot: sample every position fresh (memoized per
   // node for this instant).
   scratch_positions_.resize(nodes_.size());
@@ -261,7 +246,7 @@ int Network::physical_hop_distance(NodeId a, NodeId b) {
   if (a >= n || b >= n) return graph::kUnreachable;
   if (a == b) return 0;
   if (!alive(a) || !alive(b)) return graph::kUnreachable;
-  refresh_index();
+  refresh_index(sim_->now());
   if (grid_stamp_.size() < n) {
     grid_stamp_.resize(n, 0);
     grid_dist_.resize(n);
@@ -357,7 +342,7 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
     observer_->on_transmit(sim_->now(), sender, kBroadcast, bytes);
   }
 
-  refresh_index();
+  refresh_index(sim_->now());
   const geo::Vec2 sender_pos = position_of(sender);
   index_.candidates_near(sender_pos, sim_->now(), &scratch_candidates_);
   const double duration = tx_duration(params_.mac, bytes);
@@ -538,7 +523,7 @@ void Network::exit_shard() noexcept { tls_lane_ = nullptr; }
 
 void Network::begin_window(sim::SimTime start, sim::SimTime /*end*/) {
   P2P_ASSERT(!lanes_.empty());
-  sharded_refresh_index(start);
+  refresh_index(start);
   // Freeze the fault gate: inside a window faults_active()'s self-clearing
   // check would read the global clock. Evaluated against the window start,
   // so every shard sees one consistent answer.
@@ -583,27 +568,6 @@ geo::Vec2 Network::sample_position_at(NodeId id, sim::SimTime t) {
     cache.time = t;
   }
   return cache.pos;
-}
-
-geo::Vec2 Network::sharded_sample(void* ctx, NodeId id) {
-  auto* net = static_cast<Network*>(ctx);
-  return net->sample_position_at(id, net->sharded_sample_time_);
-}
-
-void Network::sharded_refresh_index(sim::SimTime start) {
-  sharded_sample_time_ = start;
-  if (params_.incremental_index &&
-      nodes_.size() >= params_.incremental_index_min_nodes) {
-    index_.refresh_incremental(start, nodes_.size(), &Network::sharded_sample,
-                               this);
-    return;
-  }
-  if (index_.is_fresh(start, nodes_.size())) return;
-  scratch_positions_.resize(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    scratch_positions_[i] = sample_position_at(i, start);
-  }
-  index_.refresh(start, scratch_positions_);
 }
 
 bool Network::sharded_in_range(NodeId a, NodeId b) const noexcept {

@@ -35,19 +35,6 @@ struct NetworkParams {
   MacParams mac;
   double index_tolerance_s = 0.25; // spatial-index staleness bound
   double max_speed_hint = 1.0;     // upper bound on any node's speed (m/s)
-  // Incremental spatial-index maintenance: resample only the nodes whose
-  // cell-safe deadline expired instead of rebuilding the whole index every
-  // tolerance window. Bit-identical results either way (candidate sets are
-  // exact-filtered downstream). Below the population threshold the full
-  // counting-sort rebuild from cached positions is measurably cheaper
-  // than deadline-heap bookkeeping (sampling a few hundred positions per
-  // window costs less than the heap churn that avoids it), so incremental
-  // maintenance engages only once the population makes per-window
-  // whole-fleet resampling the bigger bill. Set the threshold to 0 to
-  // force incremental at any size (the determinism suite does, to prove
-  // the two modes equivalent at small n).
-  bool incremental_index = true;
-  std::size_t incremental_index_min_nodes = 8192;
 };
 
 class Network {
@@ -82,8 +69,12 @@ class Network {
   /// only once.
   geo::Vec2 position_of(NodeId id);
   bool in_range(NodeId a, NodeId b);
-  /// Live neighbors within range of `id` (exact, fresh positions).
+  /// Live neighbors within range of `id` (exact, fresh positions), in
+  /// the index's candidate order: (cell at index build time, id).
   void neighbors_of(NodeId id, std::vector<NodeId>* out);
+  /// Read-only view of the spatial index (its built_at() is the "index
+  /// build time" above).
+  const NeighborIndex& neighbor_index() const noexcept { return index_; }
 
   /// Physical connectivity graph over live nodes at the current time.
   /// adjacency[i] lists i's neighbors; down nodes get empty lists.
@@ -344,26 +335,21 @@ class Network {
   sim::SimTime sharded_schedule_tx(Lane& lane, NodeState& node,
                                    double duration);
   bool sharded_link_blacked_out(const Lane& lane, NodeId a, NodeId b) const;
-  /// Refresh the index if stale at window start `start`; positions are
-  /// sampled at `start` (the barrier instant — the only sharded-mode point
-  /// that may touch the mobility models). Because refreshes happen only at
-  /// barriers, the index can age up to lookahead past the tolerance by the
-  /// end of a window — sub-millimetre extra drift at the defaults,
-  /// absorbed by the candidate prune's age compensation.
-  void sharded_refresh_index(sim::SimTime start);
-  static geo::Vec2 sharded_sample(void* ctx, NodeId id);
-  geo::Vec2 sample_position_at(NodeId id, sim::SimTime t);
   void note_energy_death(Lane& lane, NodeId id);
   std::uint32_t lane_acquire_batch(Lane& lane);
   void lane_release_batch(Lane& lane, std::uint32_t batch);
 
-  /// Refresh the spatial index. Incremental mode drains the index's
-  /// deadline heap (O(boundary-crossers)); full-rebuild mode resamples the
-  /// whole population into the position scratch buffer.
-  void refresh_index();
-  /// PositionSampler trampoline for NeighborIndex::refresh_incremental
-  /// (ctx is the Network; warms the per-node position memo as it samples).
-  static geo::Vec2 sample_position(void* ctx, NodeId id);
+  /// position_of at an explicit instant (same per-node memo).
+  geo::Vec2 sample_position_at(NodeId id, sim::SimTime t);
+  /// Rebuild the spatial index if it is stale at `t`, sampling every
+  /// position at `t` (warms the per-node position memo too). Sequential
+  /// paths pass the clock; sharded windows pass their start (the barrier
+  /// instant — the only sharded-mode point that may touch the mobility
+  /// models). Because sharded refreshes happen only at barriers, the index
+  /// can age up to lookahead past the tolerance by the end of a window —
+  /// sub-millimetre extra drift at the defaults, absorbed by the candidate
+  /// prune's age-scaled reach.
+  void refresh_index(sim::SimTime t);
   /// Exact in-range receiver set for a transmission from `sender`.
   void receivers_of(NodeId sender, std::vector<NodeId>* out);
   void deliver(NodeId receiver, const Frame& frame);
@@ -481,8 +467,6 @@ class Network {
   /// not consult the self-clearing faults_active(), whose answer depends
   /// on the global clock.
   bool faults_frozen_ = false;
-  /// Barrier instant positions are sampled at (sharded_sample trampoline).
-  sim::SimTime sharded_sample_time_ = 0.0;
   /// Lane bound to the executing thread between enter_shard/exit_shard;
   /// null outside windows, which routes every dispatching entry point
   /// (broadcast, unicast, pools, in_range, ...) to the sequential path.

@@ -131,8 +131,13 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
   // ladder is the only event queue — model results are bit-identical to
   // v8, but runs below 8192 nodes used the 4-ary heap, so v8 entries
   // would replay the heap's tombstone/compaction/peak-raw queue counters
-  // (and no ladder spills or re-buckets) for them.
-  os << "code-v9\n";
+  // (and no ladder spills or re-buckets) for them. v10: the full rebuild
+  // is the only NeighborIndex maintenance mode — sequential results are
+  // bit-identical to v9, but sharded runs at >= 8192 nodes now filter
+  // ranges against positions all sampled at the window start, and
+  // net_memory_bytes (a serialized stat) no longer counts the deleted
+  // per-node deadline/sample-time arrays.
+  os << "code-v10\n";
   put(os, "area_width", p.area_width);
   put(os, "area_height", p.area_height);
   put(os, "radio_range", p.radio_range);

@@ -334,76 +334,130 @@ TEST_F(CacheDirTest, CachedResultRoundTripsBitIdentical) {
             computed.frames_transmitted.variance());
 }
 
-// ---- Incremental vs full-rebuild NeighborIndex equivalence -------------
+// ---- NeighborIndex against a brute-force reference ---------------------
 //
-// The mega-scale index maintains node buckets incrementally (resampling
-// only cell-boundary crossers). Its contract is bit-identical adjacency:
-// over any mobility trace, the exact-filtered neighbor relation must equal
-// the full-rebuild one at every queried instant. Runs under the
-// tsan-determinism preset via this file's filter membership.
+// Network::neighbors_of must return exactly the O(n^2) in-range set over
+// fresh positions, ordered by (cell of the node's position at the index's
+// built_at(), id) — the candidate order the MAC RNG draw sequence is keyed
+// to. The reference re-derives both from a twin of every mobility model
+// (same seeds) and the documented grid geometry, never from the index.
+// Runs under the tsan-determinism preset via this file's filter membership.
 
-/// One world: n random-waypoint nodes on a paper-density square.
+/// One world: n random-waypoint nodes on a paper-density square, plus a
+/// twin of each node's mobility model for the reference.
 struct IndexWorld {
+  static constexpr double kRange = 10.0;
+  static constexpr double kTolerance = 0.25;
+  static constexpr double kMaxSpeed = 1.0;
+
   sim::Simulator sim;
   net::Network network;
+  std::vector<mobility::RandomWaypoint> twins;
 
-  IndexWorld(std::size_t n, bool incremental, double side)
-      : network(sim, make_params(incremental, side), sim::RngStream(99)) {
+  IndexWorld(std::size_t n, double side)
+      : network(sim, make_params(side), sim::RngStream(99)) {
+    mobility::RandomWaypointParams rwp;
+    rwp.region = {side, side};
+    rwp.max_speed = kMaxSpeed;
+    rwp.max_pause = 20.0;
+    twins.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      mobility::RandomWaypointParams rwp;
-      rwp.region = {side, side};
-      rwp.max_speed = 1.0;
-      rwp.max_pause = 20.0;
       network.add_node(std::make_unique<mobility::RandomWaypoint>(
           rwp, sim::RngStream(1000 + i)));
+      twins.emplace_back(rwp, sim::RngStream(1000 + i));
     }
   }
 
-  static net::NetworkParams make_params(bool incremental, double side) {
+  static net::NetworkParams make_params(double side) {
     net::NetworkParams p;
     p.region = {side, side};
-    p.incremental_index = incremental;
-    p.incremental_index_min_nodes = 0;  // force the mode at any size
-    p.max_speed_hint = 1.0;
+    p.range = kRange;
+    p.index_tolerance_s = kTolerance;
+    p.max_speed_hint = kMaxSpeed;
     return p;
   }
 };
 
-void expect_adjacency_identical(std::size_t n, double horizon_s,
-                                double step_s) {
+void expect_neighbors_match_reference(std::size_t n, double horizon_s,
+                                      double step_s) {
   // Paper density: ~50 nodes per 100x100 m.
   const double side = 100.0 * std::sqrt(static_cast<double>(n) / 50.0);
-  IndexWorld inc(n, true, side);
-  IndexWorld full(n, false, side);
-  std::vector<std::vector<net::NodeId>> adj_inc;
-  std::vector<std::vector<net::NodeId>> adj_full;
-  // Irregular instants (prime-ish stride) so cell-crossing deadlines
-  // expire mid-window, not conveniently on query boundaries. Every third
-  // step adds a sub-tolerance probe: within a staleness window buckets
-  // must stay frozen exactly like the full rebuild's (the candidate-order
-  // contract the RNG draw sequence is keyed to), so querying BETWEEN
-  // rebuild instants is the regime that actually exercises equivalence.
+  IndexWorld world(n, side);
+  // Grid geometry: cells are range + 2 * tolerance * max_speed wide,
+  // row-major, the last row/column absorbing the remainder.
+  const double cell = IndexWorld::kRange +
+                      2.0 * IndexWorld::kTolerance * IndexWorld::kMaxSpeed;
+  const auto cols = std::max<std::size_t>(
+      1, static_cast<std::size_t>(side / cell));
+  auto cell_of = [&](geo::Vec2 p) {
+    const auto axis = [&](double v) {
+      const auto c =
+          static_cast<std::size_t>(std::clamp(v, 0.0, side) / cell);
+      return std::min(c, cols - 1);
+    };
+    return axis(p.y) * cols + axis(p.x);
+  };
+  const double r2 = IndexWorld::kRange * IndexWorld::kRange;
+  std::vector<std::size_t> ref_cell(n);
+  std::vector<geo::Vec2> pos(n);
+  std::vector<std::vector<net::NodeId>> expected(n);
+  std::vector<net::NodeId> got;
+  double cells_at = -1.0;
+  std::size_t checked_edges = 0;
+  // Irregular instants (prime-ish stride) so rebuilds land mid-stride, not
+  // conveniently on query boundaries. Every third step adds a
+  // sub-tolerance probe: within a staleness window the layout stays frozen
+  // at built_at() while positions move on, so querying BETWEEN rebuild
+  // instants is the regime where candidate order and fresh range can
+  // disagree.
   int step_no = 0;
   for (double t = step_s; t <= horizon_s;
        t += (++step_no % 3 == 0) ? 0.07 : step_s * 1.37) {
-    inc.sim.run_until(t);
-    full.sim.run_until(t);
-    inc.network.adjacency_snapshot(&adj_inc);
-    full.network.adjacency_snapshot(&adj_full);
-    ASSERT_EQ(adj_inc.size(), adj_full.size());
-    for (std::size_t i = 0; i < adj_inc.size(); ++i) {
-      ASSERT_EQ(adj_inc[i], adj_full[i])
+    world.sim.run_until(t);
+    world.network.neighbors_of(0, &got);  // refreshes the index if stale
+    const double built_at = world.network.neighbor_index().built_at();
+    ASSERT_LE(built_at, t);
+    ASSERT_LT(t - built_at, IndexWorld::kTolerance);
+    if (built_at != cells_at) {
+      for (std::size_t i = 0; i < n; ++i) {
+        ref_cell[i] = cell_of(world.twins[i].position_at(built_at));
+      }
+      cells_at = built_at;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      pos[i] = world.twins[i].position_at(t);
+      expected[i].clear();
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (geo::distance2(pos[i], pos[j]) <= r2) {
+          expected[i].push_back(static_cast<net::NodeId>(j));
+          expected[j].push_back(static_cast<net::NodeId>(i));
+        }
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      std::sort(expected[i].begin(), expected[i].end(),
+                [&](net::NodeId a, net::NodeId b) {
+                  return ref_cell[a] != ref_cell[b] ? ref_cell[a] < ref_cell[b]
+                                                    : a < b;
+                });
+      world.network.neighbors_of(static_cast<net::NodeId>(i), &got);
+      ASSERT_EQ(got, expected[i])
           << "node " << i << " at t=" << t << " (n=" << n << ")";
+      checked_edges += got.size();
     }
   }
+  // The comparison must not be vacuous.
+  EXPECT_GT(checked_edges, n);
 }
 
-TEST(NeighborIndexEquivalence, IncrementalMatchesFullRebuild150) {
-  expect_adjacency_identical(150, 120.0, 0.75);
+TEST(NeighborIndexReference, NeighborsMatchBruteForce150) {
+  expect_neighbors_match_reference(150, 120.0, 0.75);
 }
 
-TEST(NeighborIndexEquivalence, IncrementalMatchesFullRebuild5k) {
-  expect_adjacency_identical(5000, 12.0, 0.5);
+TEST(NeighborIndexReference, NeighborsMatchBruteForce5k) {
+  expect_neighbors_match_reference(5000, 12.0, 0.5);
 }
 
 }  // namespace

@@ -537,12 +537,9 @@ struct OscillatingField {
                          static_cast<double>(step % kStepsPerCycle) /
                          static_cast<double>(kStepsPerCycle);
     // Amplitude * angular step per refresh stays under the declared
-    // max_speed of 1 m/s, keeping the cell-safe deadlines honest.
+    // max_speed of 1 m/s.
     return {centers[id].x + 3.0 * std::sin(angle + phase),
             centers[id].y + 3.0 * std::cos(angle + 1.3 * phase)};
-  }
-  static geo::Vec2 sample(void* ctx, NodeId id) {
-    return static_cast<const OscillatingField*>(ctx)->at(id);
   }
 };
 
@@ -557,8 +554,7 @@ TEST(NeighborIndex, SteadyStateRefreshesAreAllocationFree) {
         {rng.uniform(5.0, 95.0), rng.uniform(5.0, 95.0)});
   }
 
-  net::NeighborIndex incremental(region, 10.0, 0.25, 1.0);
-  net::NeighborIndex full(region, 10.0, 0.25, 1.0);
+  net::NeighborIndex index(region, 10.0, 0.25, 1.0);
   std::vector<geo::Vec2> positions(kNodes);
   const double dt = 0.4;  // > tolerance, so every step really refreshes
 
@@ -566,31 +562,24 @@ TEST(NeighborIndex, SteadyStateRefreshesAreAllocationFree) {
     for (int k = 0; k < steps; ++k) {
       ++field.step;
       const double now = dt * static_cast<double>(field.step);
-      incremental.refresh_incremental(now, kNodes, &OscillatingField::sample,
-                                      &field);
       for (std::size_t i = 0; i < kNodes; ++i) {
         positions[i] = field.at(static_cast<NodeId>(i));
       }
-      full.refresh(now, positions);
+      index.refresh(now, positions);
+      ASSERT_EQ(index.built_at(), now);  // every step really rebuilt
     }
   };
 
-  // Warm-up: two full motion cycles grow every bucket (and the heap/due
-  // scratch) to the high-water mark the workload can ever need.
+  // Warm-up: two full motion cycles grow every bucket to the high-water
+  // mark the workload can ever need.
   advance(2 * OscillatingField::kStepsPerCycle);
-  const std::uint64_t incremental_allocs = incremental.alloc_events();
-  const std::uint64_t full_allocs = full.alloc_events();
-  const std::uint64_t resampled_after_warmup = incremental.nodes_resampled();
+  const std::uint64_t warm_allocs = index.alloc_events();
 
   // Steady state: two more cycles of identical motion. Any further
   // allocation is a regression in the hoisting (clear() losing capacity,
   // a scratch buffer rebuilt per refresh, ...).
   advance(2 * OscillatingField::kStepsPerCycle);
-  EXPECT_EQ(incremental.alloc_events(), incremental_allocs);
-  EXPECT_EQ(full.alloc_events(), full_allocs);
-  // And the incremental mode kept doing real work the whole time: nodes
-  // crossed cells and were resampled, without triggering an allocation.
-  EXPECT_GT(incremental.nodes_resampled(), resampled_after_warmup);
+  EXPECT_EQ(index.alloc_events(), warm_allocs);
 }
 
 }  // namespace
