@@ -1,5 +1,5 @@
 // Route-discovery storm: the AODV-heavy counterpart to hotpath.cpp's
-// flooding storms, built to hammer the per-route hot paths that the dense
+// flooding storms, built to hammer the per-route hot paths that the
 // RoutingTable / DupCache representations serve.
 //
 // Workload shape: nodes wander (random waypoint) over a region ~12 radio
@@ -51,7 +51,6 @@ struct AodvWorld {
     // same destination, so the table churns instead of saturating.
     ap.active_route_timeout = 3.0;
     ap.my_route_timeout = 6.0;
-    ap.population_hint = n;
     sim::RngManager rngs(23);
     for (std::size_t i = 0; i < n; ++i) {
       mobility::RandomWaypointParams rwp;

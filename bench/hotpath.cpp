@@ -157,9 +157,8 @@ struct StormWorld {
       rwp.region = params.region;
       auto id = net->add_node(std::make_unique<mobility::RandomWaypoint>(
           rwp, rngs.stream("m", i)));
-      routing::AodvParams ap;
-      ap.population_hint = n;
-      aodv.push_back(std::make_unique<routing::AodvAgent>(sim, *net, id, ap));
+      aodv.push_back(std::make_unique<routing::AodvAgent>(
+          sim, *net, id, routing::AodvParams{}));
       flood.push_back(std::make_unique<routing::FloodService>(
           sim, *net, id, aodv.back().get()));
     }

@@ -19,7 +19,6 @@ AodvAgent::AodvAgent(sim::Simulator& simulator, net::Network& network,
       self_(self),
       params_(params),
       rreq_seen_(params.rreq_id_cache_ttl) {
-  table_.set_universe_hint(params.population_hint);
   net_->attach_listener(self_, this);
 }
 

@@ -41,11 +41,6 @@ struct AodvParams {
   std::uint8_t ttl_threshold = 7;
   std::size_t send_queue_limit = 64;         // packets buffered per discovery
   sim::SimTime rreq_id_cache_ttl = 6.0;      // PATH_DISCOVERY_TIME
-  // Population of the run, if the caller knows it (scenario drivers do).
-  // Selects the routing-table backend: dense dst-indexed slots at paper
-  // scale, O(routes learned) hashing above RoutingTable::kDenseUniverseMax
-  // or when left 0. Behavior is backend-identical; only speed/memory move.
-  std::size_t population_hint = 0;
 
   sim::SimTime net_traversal_time() const noexcept {
     return 2.0 * node_traversal_time * static_cast<double>(net_diameter);

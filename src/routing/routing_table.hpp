@@ -4,43 +4,24 @@
 // replaced by one with a newer sequence number, or an equal sequence
 // number and strictly fewer hops.
 //
-// Representation: two backends behind one interface, chosen once per
-// table from the population hint (set_universe_hint) before first use:
+// Representation: an open-addressed map keyed by destination id
+// (util::FlatMap) — O(routes actually learned) memory per node at every
+// population, the mega-scale requirement. A hot-path lookup is one
+// multiplicative hash plus a short linear probe.
 //
-//  * dense (population <= kDenseUniverseMax): a flat vector indexed by
-//    destination id plus an occupancy bitmap — every lookup on the
-//    data-forwarding hot path is one bit test and one array index, no
-//    hashing. Node ids are dense (0..n-1, assigned by Network in call
-//    order), so the vector grows geometrically with the largest claimed
-//    id, worst case O(population) per table. That worst case is why the
-//    backend is population-gated: flood reverse-route hints claim
-//    arbitrary destination ids over time, so at mega-scale a dst-indexed
-//    table degenerates to O(n) per node and O(n^2) fleet-wide (measured:
-//    8.3 GB at 10k nodes).
-//
-//  * hashed (everything else, and the default when no hint is given): an
-//    open-addressed map keyed by destination id (util::FlatMap) —
-//    O(routes actually learned) memory per node, the mega-scale
-//    requirement. A hot-path lookup is one multiplicative hash plus a
-//    short linear probe.
-//
-// Both backends share the same semantics: expiry state lives intrusively
-// in the Route entries (`valid`/`expires`) and is swept in place
-// (find_active invalidates lazily, destinations_via skips expired entries
-// during its scan); there is no auxiliary expiry structure to keep in
-// sync. Entries are reset to pristine state when a destination is
-// re-claimed after clear(), so a reborn node never observes stale
-// precursors or a stale max-expiry from its previous life.
+// Expiry state lives intrusively in the Route entries (`valid`/`expires`)
+// and is swept in place (find_active invalidates lazily, destinations_via
+// skips expired entries during its scan); there is no auxiliary expiry
+// structure to keep in sync. Entries are reset to pristine state when a
+// destination is re-claimed after clear(), so a reborn node never
+// observes stale precursors or a stale max-expiry from its previous life.
 //
 // Ordering contracts (pinned by the determinism suite): destinations_via
 // returns ascending destinations (the platform-independent RERR order)
-// and all() iterates ascending by destination. The dense bitmap scan
-// yields that order naturally; the hashed backend sorts extracted keys —
-// so observable behavior is backend-independent, and switching backends
-// by population cannot move a counter.
+// and all() iterates ascending by destination. Both sort the extracted
+// keys, so hash-slot layout never reaches an observable order.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -65,24 +46,10 @@ struct Route {
 
 class RoutingTable {
  public:
-  /// Largest population for which the dense backend is used. Worst-case
-  /// dense footprint is population^2 Route slots fleet-wide, so the
-  /// ceiling keeps that bounded (~2048^2 * sizeof(Route) ≈ 0.4 GB) while
-  /// covering the paper-scale runs where direct indexing matters.
-  static constexpr std::size_t kDenseUniverseMax = 2048;
-
-  /// Declare the destination-id universe (the population). Must be called
-  /// before the first insert; selects the dense backend when
-  /// 0 < n <= kDenseUniverseMax, the hashed backend otherwise (and when
-  /// never called).
-  void set_universe_hint(std::size_t n) noexcept {
-    use_dense_ = n > 0 && n <= kDenseUniverseMax;
-  }
-
   /// Valid, unexpired route or nullptr. Expired routes are invalidated
   /// as a side effect (their sequence numbers survive).
   Route* find_active(NodeId dst, sim::SimTime now);
-  const Route* find(NodeId dst) const noexcept { return lookup(dst); }
+  const Route* find(NodeId dst) const noexcept { return entries_.find(dst); }
 
   /// Would a route advertising (seq, seq_valid, hops) replace what we have
   /// for dst? Implements the RFC 3561 §6.2 freshness comparison.
@@ -110,9 +77,7 @@ class RoutingTable {
                         std::vector<NodeId>* out) const;
   std::vector<NodeId> destinations_via(NodeId next_hop, sim::SimTime now) const;
 
-  std::size_t size() const noexcept {
-    return use_dense_ ? dense_count_ : entries_.size();
-  }
+  std::size_t size() const noexcept { return entries_.size(); }
 
   /// Forget every route, sequence numbers included (node crash: a reborn
   /// node starts from an empty table, RFC 3561 §6.13 handles seq reuse).
@@ -121,13 +86,7 @@ class RoutingTable {
 
   /// Bytes resident in the table's slot storage (megascale memory
   /// accounting; excludes per-route precursor set heap nodes).
-  std::size_t memory_bytes() const noexcept {
-    if (use_dense_) {
-      return slots_.capacity() * sizeof(Route) +
-             occupied_.capacity() * sizeof(std::uint64_t);
-    }
-    return entries_.memory_bytes();
-  }
+  std::size_t memory_bytes() const noexcept { return entries_.memory_bytes(); }
 
   /// Read-only iterable view over every entry, ascending by destination,
   /// for cross-layer invariant sweeps (cold path: materializes the sorted
@@ -174,23 +133,7 @@ class RoutingTable {
   ConstView all() const { return ConstView(this); }
 
  private:
-  /// Entry for dst, or nullptr if never claimed (or cleared).
-  Route* lookup(NodeId dst) noexcept;
-  const Route* lookup(NodeId dst) const noexcept;
-  /// Entry for dst, default-constructed (pristine) on first touch.
-  Route& claim(NodeId dst);
-  bool dense_present(NodeId dst) const noexcept {
-    return static_cast<std::size_t>(dst) < slots_.size() &&
-           (occupied_[dst >> 6] & (std::uint64_t{1} << (dst & 63))) != 0;
-  }
-
-  // Hashed backend.
   util::FlatMap<NodeId, Route, net::kInvalidNode> entries_;
-  // Dense backend.
-  std::vector<Route> slots_;
-  std::vector<std::uint64_t> occupied_;
-  std::size_t dense_count_ = 0;
-  bool use_dense_ = false;
 };
 
 }  // namespace p2p::routing

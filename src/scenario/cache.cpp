@@ -136,8 +136,13 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
   // bit-identical to v9, but sharded runs at >= 8192 nodes now filter
   // ranges against positions all sampled at the window start, and
   // net_memory_bytes (a serialized stat) no longer counts the deleted
-  // per-node deadline/sample-time arrays.
-  os << "code-v10\n";
+  // per-node deadline/sample-time arrays. v11: the hashed table is the
+  // only AODV RoutingTable representation — model results are
+  // bit-identical to v10, but AODV runs at <= 2048 nodes used dense
+  // dst-indexed slots, so v10 entries would replay their
+  // routing_memory_bytes (a serialized stat). FlatMap also stopped growing
+  // on a hit, which trims FlatMap-backed memory stats at any size.
+  os << "code-v11\n";
   put(os, "area_width", p.area_width);
   put(os, "area_height", p.area_height);
   put(os, "radio_range", p.radio_range);

@@ -138,10 +138,8 @@ void SimulationRun::build() {
       routing_.push_back(std::make_unique<routing::DsrAgent>(
           node_sim, *network_, id, params_.dsr));
     } else {
-      auto ap = params_.aodv;
-      ap.population_hint = params_.num_nodes;  // routing-table backend pick
-      routing_.push_back(
-          std::make_unique<routing::AodvAgent>(node_sim, *network_, id, ap));
+      routing_.push_back(std::make_unique<routing::AodvAgent>(
+          node_sim, *network_, id, params_.aodv));
     }
     flood_.push_back(std::make_unique<routing::FloodService>(
         node_sim, *network_, id, routing_.back().get()));

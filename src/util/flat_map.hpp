@@ -54,14 +54,20 @@ class FlatMap {
   /// `*inserted` (if non-null) to whether this was a first touch.
   T& get_or_insert(Key key, bool* inserted = nullptr) {
     P2P_ASSERT(key != EmptyKey);
-    // Grow at 5/8 load: linear probing degrades sharply past ~2/3 (a miss
-    // at 7/8 load walks ~30 slots on average); the extra slots are cheap
-    // because keys and values are split and only keys are probed.
-    if (keys_.empty() || (size_ + 1) * 8 > keys_.size() * 5) grow();
-    const std::size_t i = probe(key);
+    if (keys_.empty()) grow();
+    std::size_t i = probe(key);
     if (keys_[i] == key) {
       if (inserted != nullptr) *inserted = false;
       return values_[i];
+    }
+    // Grow at 5/8 load, and only on a real insert, so a hit never moves
+    // the table (held value pointers stay valid): linear probing degrades
+    // sharply past ~2/3 (a miss at 7/8 load walks ~30 slots on average);
+    // the extra slots are cheap because keys and values are split and
+    // only keys are probed.
+    if ((size_ + 1) * 8 > keys_.size() * 5) {
+      grow();
+      i = probe(key);
     }
     keys_[i] = key;
     values_[i] = T{};

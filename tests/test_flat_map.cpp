@@ -1,10 +1,10 @@
 // util::FlatMap — the open-addressed map under every O(touched) per-node
-// structure. These tests target the three spots where linear probing with
+// structure. These tests target the spots where linear probing with
 // backward-shift deletion actually goes wrong: erases whose shift chain
 // crosses the wrap boundary of the slot array, iteration-order stability
-// across growth rehashes (the determinism contract), and sustained
+// across growth rehashes (the determinism contract), sustained
 // insert/erase churn near the load-factor ceiling checked against a
-// reference map.
+// reference map, and a hit at the load ceiling, which must not rehash.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -185,6 +185,23 @@ TEST(FlatMap, ClearRetainsCapacityAndMapStaysUsable) {
   map.get_or_insert(7) = 42;
   ASSERT_NE(map.find(7), nullptr);
   EXPECT_EQ(*map.find(7), 42);
+}
+
+TEST(FlatMap, HitAtLoadThresholdDoesNotGrow) {
+  Map map;
+  // 10 keys in 16 slots: the next insert crosses the 5/8 load ceiling.
+  for (std::uint32_t k = 1; k <= 10; ++k) map.get_or_insert(k) = 1;
+  const std::size_t bytes = map.memory_bytes();
+  int* held = map.find(3);
+  ASSERT_NE(held, nullptr);
+  bool inserted = true;
+  map.get_or_insert(3, &inserted) = 5;  // find-or-update of a present key
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(map.memory_bytes(), bytes);  // no rehash on a hit
+  EXPECT_EQ(map.find(3), held);          // held value pointer still valid
+  EXPECT_EQ(*map.find(3), 5);
+  map.get_or_insert(11);  // a real insert does grow
+  EXPECT_GT(map.memory_bytes(), bytes);
 }
 
 }  // namespace
