@@ -70,49 +70,35 @@ int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
   return kUnreachable;
 }
 
-int BfsScratch::traverse(const std::vector<std::vector<Vertex>>& adj,
-                         Vertex src, Vertex dst) {
-  if (stamp_.size() < adj.size()) {
-    stamp_.resize(adj.size(), 0);
-    dist_.resize(adj.size());
-  }
-  if (++generation_ == 0) {
-    // Stamp wrapped (once per 2^32 queries): invalidate everything.
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
-    generation_ = 1;
-  }
-  const std::uint32_t gen = generation_;
-  frontier_.clear();
-  stamp_[src] = gen;
-  dist_[src] = 0;
-  frontier_.push_back(src);
-  for (std::size_t head = 0; head < frontier_.size(); ++head) {
-    const Vertex v = frontier_[head];
-    for (const Vertex w : adj[v]) {
-      if (stamp_[w] == gen) continue;
-      stamp_[w] = gen;
-      dist_[w] = dist_[v] + 1;
-      if (w == dst) return dist_[w];
-      frontier_.push_back(w);
-    }
-  }
-  return kUnreachable;
-}
-
-int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-                 Vertex dst, BfsScratch& scratch) {
-  if (src >= adj.size() || dst >= adj.size()) return kUnreachable;
-  if (src == dst) return 0;
-  return scratch.traverse(adj, src, dst);
-}
-
 std::span<const Vertex> bfs_reach(
     const std::vector<std::vector<Vertex>>& adj, Vertex src,
     BfsScratch& scratch) {
   if (src >= adj.size()) return {};
-  // No vertex id equals adj.size(), so the sweep never stops early.
-  scratch.traverse(adj, src, static_cast<Vertex>(adj.size()));
-  return scratch.frontier_;
+  if (scratch.stamp_.size() < adj.size()) {
+    scratch.stamp_.resize(adj.size(), 0);
+    scratch.dist_.resize(adj.size());
+  }
+  if (++scratch.generation_ == 0) {
+    // Stamp wrapped (once per 2^32 sweeps): invalidate everything.
+    std::fill(scratch.stamp_.begin(), scratch.stamp_.end(), 0u);
+    scratch.generation_ = 1;
+  }
+  const std::uint32_t gen = scratch.generation_;
+  auto& frontier = scratch.frontier_;
+  frontier.clear();
+  scratch.stamp_[src] = gen;
+  scratch.dist_[src] = 0;
+  frontier.push_back(src);
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const Vertex v = frontier[head];
+    for (const Vertex w : adj[v]) {
+      if (scratch.stamp_[w] == gen) continue;
+      scratch.stamp_[w] = gen;
+      scratch.dist_[w] = scratch.dist_[v] + 1;
+      frontier.push_back(w);
+    }
+  }
+  return frontier;
 }
 
 std::vector<Vertex> Graph::components(std::size_t* count) const {

@@ -46,34 +46,27 @@ class Graph {
   std::vector<std::vector<Vertex>> adj_;
 };
 
-/// Shortest hop distance over a raw adjacency structure, early-exiting
-/// once `dst` settles; kUnreachable when disconnected. Lets callers that
-/// snapshot adjacency repeatedly (Network::shared_adjacency) query
-/// distances without constructing a Graph.
+/// Shortest hop distance over a raw adjacency structure (e.g.
+/// Network::adjacency_snapshot), early-exiting once `dst` settles;
+/// kUnreachable when disconnected. Queries a snapshot without constructing
+/// a Graph.
 int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
                  Vertex dst);
 
-/// Reusable BFS workspace for the allocation-free bfs_distance overload
-/// and bfs_reach: visited marks are generation stamps (no O(n) clear per
-/// query) and the frontier is a flat vector reused across calls.
+/// Reusable workspace for bfs_reach: visited marks are generation stamps
+/// (no O(n) clear per sweep) and the frontier is a flat vector reused
+/// across calls.
 class BfsScratch {
  public:
   BfsScratch() = default;
 
-  /// Hop distance of a vertex settled by the last traversal.
+  /// Hop distance of a vertex settled by the last sweep.
   int distance(Vertex v) const { return dist_[v]; }
 
  private:
-  friend int bfs_distance(const std::vector<std::vector<Vertex>>& adj,
-                          Vertex src, Vertex dst, BfsScratch& scratch);
   friend std::span<const Vertex> bfs_reach(
       const std::vector<std::vector<Vertex>>& adj, Vertex src,
       BfsScratch& scratch);
-  /// The one traversal both entry points share: settles vertices from
-  /// `src` in BFS order into frontier_ until `dst` is reached (returns its
-  /// distance) or the component is exhausted (kUnreachable).
-  int traverse(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-               Vertex dst);
 
   std::vector<std::uint32_t> stamp_;  // stamp_[v] == generation_ -> settled
   std::vector<int> dist_;             // valid only where stamped
@@ -81,15 +74,9 @@ class BfsScratch {
   std::uint32_t generation_ = 0;
 };
 
-/// bfs_distance without per-call allocations; same results as the
-/// allocating overload.
-int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-                 Vertex dst, BfsScratch& scratch);
-
-/// Full BFS sweep from `src` (no target) on the same traversal as the
-/// scratch bfs_distance: the vertices reached, `src` first, in BFS order,
-/// each with its hop distance in scratch.distance(v). O(reached + their
-/// edges), not O(order); the span is valid until the next traversal on
+/// Full BFS sweep from `src`: the vertices reached, `src` first, in BFS
+/// order, each with its hop distance in scratch.distance(v). O(reached +
+/// their edges), not O(order); the span is valid until the next sweep on
 /// `scratch`. Empty when `src` is out of range.
 std::span<const Vertex> bfs_reach(
     const std::vector<std::vector<Vertex>>& adj, Vertex src,

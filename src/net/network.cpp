@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <utility>
 
+#include "graph/graph.hpp"
 #include "util/assert.hpp"
 
 namespace p2p::net {
 
 Network::Network(sim::Simulator& simulator, const NetworkParams& params,
                  sim::RngStream mac_rng)
-    : sim_(&simulator),
-      params_(params),
-      mac_rng_(std::move(mac_rng)),
+    : params_(params),
+      base_(&simulator, std::move(mac_rng)),
       index_(params.region, params.range, params.index_tolerance_s,
              params.max_speed_hint) {}
 
@@ -26,7 +26,6 @@ NodeId Network::add_node(std::unique_ptr<mobility::MobilityModel> mobility,
   down_.push_back(0);
   const auto id = static_cast<NodeId>(nodes_.size() - 1);
   refresh_down(id);  // a zero-capacity battery is dead on arrival
-  ++liveness_epoch_;  // a new node invalidates any shared adjacency memo
   return id;
 }
 
@@ -42,7 +41,7 @@ geo::Vec2 Network::position_of(NodeId id) {
   P2P_DASSERT(tls_lane_ == nullptr);
   P2P_ASSERT(id < nodes_.size());
   PosCache& cache = pos_cache_[id];
-  const sim::SimTime now = sim_->now();
+  const sim::SimTime now = base_.sim->now();
   if (cache.time != now) {
     cache.pos = nodes_[id].mobility->position_at(now);
     cache.time = now;
@@ -57,7 +56,7 @@ void Network::set_failed(NodeId id, bool failed) {
 }
 
 void Network::purge_expired_blackouts() {
-  const sim::SimTime now = sim_->now();
+  const sim::SimTime now = base_.sim->now();
   blackout_scratch_.clear();
   blackout_map_.for_each([&](std::uint64_t link, sim::SimTime end) {
     if (end <= now) blackout_scratch_.push_back(link);
@@ -78,45 +77,30 @@ void Network::set_link_blackout(NodeId a, NodeId b, sim::SimTime until) {
   faults_active_ = true;
 }
 
-bool Network::link_blacked_out(NodeId a, NodeId b) const {
+bool Network::link_blacked_out(const Lane& lane, NodeId a, NodeId b) const {
   // Ledger holds only links that were actually suppressed; absent means
   // never blacked out.
   const sim::SimTime* end = blackout_map_.find(link_key(a, b));
-  return end != nullptr && *end > sim_->now();
+  return end != nullptr && *end > lane.sim->now();
 }
 
 bool Network::link_usable(NodeId a, NodeId b) {
   if (!alive(a) || !alive(b)) return false;
   if (Lane* lane = tls_lane_) {
     if (!sharded_in_range(a, b)) return false;
-    return !(faults_frozen_ && sharded_link_blacked_out(*lane, a, b));
+    return !(faults_frozen_ && link_blacked_out(*lane, a, b));
   }
   if (!in_range(a, b)) return false;
-  return !(faults_active() && link_blacked_out(a, b));
+  return !(faults_active() && link_blacked_out(base_, a, b));
 }
 
 bool Network::channel_lost(sim::RngStream& rng, const geo::Vec2& from,
                            const geo::Vec2& to) {
-  const double loss_p = params_.mac.loss_probability;
-  bool lost = loss_p > 0.0 && rng.chance(loss_p);
-  if (!lost && params_.mac.gray_zone_fraction > 0.0) {
-    const double dist = geo::distance(from, to);
-    lost = !rng.chance(
-        gray_zone_delivery_probability(params_.mac, dist, params_.range));
-  }
-  return lost;
-}
-
-bool Network::channel_lost_faulted(sim::RngStream& rng, const geo::Vec2& from,
-                                   const geo::Vec2& to) {
   double loss_p = params_.mac.loss_probability;
-  if (burst_loss_ > 0.0) {
-    // Gilbert-Elliott bad state: compose with the base loss. With the
-    // burst inactive this is exactly the base probability, including the
-    // draw-only-when-positive fast path, so faulted-but-burst-free runs
-    // stay bit-identical.
-    loss_p = 1.0 - (1.0 - loss_p) * (1.0 - burst_loss_);
-  }
+  // burst_loss_ > 0 implies the fault gate is up (faults_active() in the
+  // sequential path, faults_frozen_ in a window), and only global events
+  // write it, so windows read it race-free.
+  if (burst_loss_ > 0.0) loss_p = 1.0 - (1.0 - loss_p) * (1.0 - burst_loss_);
   bool lost = loss_p > 0.0 && rng.chance(loss_p);
   if (!lost && params_.mac.gray_zone_fraction > 0.0) {
     const double dist = geo::distance(from, to);
@@ -156,12 +140,13 @@ void Network::refresh_index(sim::SimTime t) {
 }
 
 void Network::receivers_of(NodeId sender, std::vector<NodeId>* out) {
-  refresh_index(sim_->now());
+  const sim::SimTime now = base_.sim->now();
+  refresh_index(now);
   const geo::Vec2 sp = position_of(sender);  // sampled once, reused below
-  index_.candidates_near(sp, sim_->now(), &scratch_candidates_);
+  index_.candidates_near(sp, now, &base_.scratch_candidates);
   out->clear();
   const double r2 = params_.range * params_.range;
-  for (const NodeId cand : scratch_candidates_) {
+  for (const NodeId cand : base_.scratch_candidates) {
     if (cand == sender || !alive(cand)) continue;
     if (geo::distance2(sp, position_of(cand)) <= r2) {
       out->push_back(cand);
@@ -176,16 +161,10 @@ void Network::neighbors_of(NodeId id, std::vector<NodeId>* out) {
 }
 
 std::vector<std::vector<NodeId>> Network::adjacency_snapshot() {
-  std::vector<std::vector<NodeId>> adj;
-  adjacency_snapshot(&adj);
-  return adj;
-}
-
-void Network::adjacency_snapshot(std::vector<std::vector<NodeId>>* out) {
   P2P_DASSERT(tls_lane_ == nullptr);  // global-clock snapshot, barrier-only
-  P2P_ASSERT(out != nullptr);
-  out->resize(nodes_.size());
-  refresh_index(sim_->now());
+  const sim::SimTime now = base_.sim->now();
+  std::vector<std::vector<NodeId>> adj(nodes_.size());
+  refresh_index(now);
   // Force an exact snapshot: sample every position fresh (memoized per
   // node for this instant).
   scratch_positions_.resize(nodes_.size());
@@ -193,90 +172,81 @@ void Network::adjacency_snapshot(std::vector<std::vector<NodeId>>* out) {
     scratch_positions_[i] = position_of(i);
   }
   const double r2 = params_.range * params_.range;
-  std::size_t half_edges = 0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    auto& row = (*out)[i];
-    row.clear();  // keeps capacity from the previous snapshot
-    if (row.capacity() == 0 && degree_hint_ > 0) row.reserve(degree_hint_);
-  }
+  std::vector<NodeId>& cands = base_.scratch_candidates;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
     if (!alive(i)) continue;
-    index_.candidates_near(scratch_positions_[i], sim_->now(),
-                           &scratch_candidates_);
-    for (const NodeId j : scratch_candidates_) {
+    index_.candidates_near(scratch_positions_[i], now, &cands);
+    for (const NodeId j : cands) {
       if (j <= i || !alive(j)) continue;
       if (geo::distance2(scratch_positions_[i], scratch_positions_[j]) <= r2) {
-        (*out)[i].push_back(j);
-        (*out)[j].push_back(i);
-        half_edges += 2;
+        adj[i].push_back(j);
+        adj[j].push_back(i);
       }
     }
   }
-  if (!nodes_.empty()) {
-    // Round up: under-reserving costs a realloc, over-reserving a few slots.
-    degree_hint_ = (half_edges + nodes_.size() - 1) / nodes_.size() + 1;
-  }
+  return adj;
 }
 
-const std::vector<std::vector<NodeId>>& Network::shared_adjacency() {
-  const sim::SimTime now = sim_->now();
-  if (shared_adj_time_ == now && shared_adj_epoch_ == liveness_epoch_) {
-    return shared_adj_;
-  }
-  adjacency_snapshot(&shared_adj_);
-  shared_adj_time_ = now;
-  shared_adj_epoch_ = liveness_epoch_;
-  ++adjacency_builds_;
-  return shared_adj_;
-}
-
-int Network::physical_hop_distance(NodeId a, NodeId b) {
-  if (Lane* lane = tls_lane_) return sharded_hop_distance(*lane, a, b);
-  // If the memoized snapshot is already fresh (e.g. several query hits at
-  // the same instant), a BFS over it is cheapest — no rebuild happens.
-  if (shared_adj_time_ == sim_->now() && shared_adj_epoch_ == liveness_epoch_) {
-    return graph::bfs_distance(shared_adj_, a, b, bfs_scratch_);
-  }
-  // Otherwise BFS directly over the spatial grid: same edge relation as
-  // adjacency_snapshot() (alive endpoints, fresh positions within range,
-  // candidates_near being a guaranteed superset within the drift margin),
-  // and the BFS distance is unique, so the result is identical — without
-  // paying O(n * k) to materialize every row for one source/target pair.
+template <typename PositionFn>
+int Network::grid_hop_distance(Lane& lane, NodeId a, NodeId b,
+                               PositionFn pos) {
+  // Same edge relation as adjacency_snapshot() (alive endpoints, positions
+  // within range, candidates_near being a guaranteed superset within the
+  // drift margin), and the BFS distance is unique, so the result equals a
+  // BFS over the snapshot — without paying O(n * k) to materialize every
+  // row for one source/target pair.
   const std::size_t n = nodes_.size();
-  if (a >= n || b >= n) return graph::kUnreachable;
-  if (a == b) return 0;
-  if (!alive(a) || !alive(b)) return graph::kUnreachable;
-  refresh_index(sim_->now());
-  if (grid_stamp_.size() < n) {
-    grid_stamp_.resize(n, 0);
-    grid_dist_.resize(n);
+  if (lane.grid_stamp.size() < n) {
+    lane.grid_stamp.resize(n, 0);
+    lane.grid_dist.resize(n);
   }
-  const std::uint64_t gen = ++grid_gen_;
+  const std::uint64_t gen = ++lane.grid_gen;
+  const sim::SimTime now = lane.sim->now();
   const double r2 = params_.range * params_.range;
-  grid_queue_.clear();
-  grid_queue_.push_back(a);
-  grid_stamp_[a] = gen;
-  grid_dist_[a] = 0;
-  for (std::size_t head = 0; head < grid_queue_.size(); ++head) {
-    const NodeId u = grid_queue_[head];
-    const int du = grid_dist_[u];
-    const geo::Vec2 up = position_of(u);
-    index_.candidates_near(up, sim_->now(), &grid_cand_);
-    for (const NodeId v : grid_cand_) {
-      if (grid_stamp_[v] == gen || v == u || !alive(v)) continue;
-      if (geo::distance2(up, position_of(v)) > r2) continue;
+  lane.grid_queue.clear();
+  lane.grid_queue.push_back(a);
+  lane.grid_stamp[a] = gen;
+  lane.grid_dist[a] = 0;
+  for (std::size_t head = 0; head < lane.grid_queue.size(); ++head) {
+    const NodeId u = lane.grid_queue[head];
+    const int du = lane.grid_dist[u];
+    const geo::Vec2 up = pos(u);
+    index_.candidates_near(up, now, &lane.grid_cand);
+    for (const NodeId v : lane.grid_cand) {
+      if (lane.grid_stamp[v] == gen || v == u || !alive(v)) continue;
+      if (geo::distance2(up, pos(v)) > r2) continue;
       if (v == b) return du + 1;
-      grid_stamp_[v] = gen;
-      grid_dist_[v] = du + 1;
-      grid_queue_.push_back(v);
+      lane.grid_stamp[v] = gen;
+      lane.grid_dist[v] = du + 1;
+      lane.grid_queue.push_back(v);
     }
   }
   return graph::kUnreachable;
 }
 
-sim::SimTime Network::schedule_tx(NodeState& node, double duration) {
-  const sim::SimTime defer = mac_rng_.uniform(0.0, params_.mac.jitter_max_s);
-  sim::SimTime start = sim_->now() + defer;
+int Network::physical_hop_distance(NodeId a, NodeId b) {
+  const std::size_t n = nodes_.size();
+  if (a >= n || b >= n) return graph::kUnreachable;
+  if (a == b) return 0;
+  if (!alive(a) || !alive(b)) return graph::kUnreachable;
+  if (Lane* lane = tls_lane_) {
+    // Inside a window: the index's cached positions, no global clock.
+    return grid_hop_distance(*lane, a, b, [this](NodeId id) {
+      return index_.cached_position(id);
+    });
+  }
+  // After the early returns: index rebuild time sets candidate order, and
+  // candidate order sets MAC draw order.
+  refresh_index(base_.sim->now());
+  return grid_hop_distance(base_, a, b,
+                           [this](NodeId id) { return position_of(id); });
+}
+
+sim::SimTime Network::schedule_tx(Lane& lane, NodeState& node,
+                                  double duration) {
+  const sim::SimTime defer =
+      lane.mac_rng.uniform(0.0, params_.mac.jitter_max_s);
+  sim::SimTime start = lane.sim->now() + defer;
   if (start < node.next_free_tx) start = node.next_free_tx;
   node.next_free_tx = start + duration;
   return start;
@@ -286,32 +256,34 @@ void Network::deliver(NodeId receiver, const Frame& frame) {
   NodeState& node = nodes_[receiver];
   if (!alive(receiver)) {
     if (observer_ != nullptr) {
-      observer_->on_drop(sim_->now(), frame.sender, receiver, frame.size_bytes);
+      observer_->on_drop(base_.sim->now(), frame.sender, receiver,
+                         frame.size_bytes);
     }
     return;
   }
   node.energy.consume_rx(frame.size_bytes);
   refresh_down(receiver);  // rx cost may have emptied the battery
-  ++frames_rx_;
+  ++base_.frames_rx;
   if (observer_ != nullptr) {
-    observer_->on_deliver(sim_->now(), receiver, frame.sender, frame.size_bytes);
+    observer_->on_deliver(base_.sim->now(), receiver, frame.sender,
+                          frame.size_bytes);
   }
   for (LinkListener* listener : node.listeners) listener->on_frame(frame);
 }
 
-std::uint32_t Network::acquire_batch() {
-  if (!free_batches_.empty()) {
-    const std::uint32_t batch = free_batches_.back();
-    free_batches_.pop_back();
+std::uint32_t Network::acquire_batch(Lane& lane) {
+  if (!lane.free_batches.empty()) {
+    const std::uint32_t batch = lane.free_batches.back();
+    lane.free_batches.pop_back();
     return batch;
   }
-  batch_pool_.emplace_back();
-  return static_cast<std::uint32_t>(batch_pool_.size() - 1);
+  lane.batch_pool.emplace_back();
+  return static_cast<std::uint32_t>(lane.batch_pool.size() - 1);
 }
 
-void Network::release_batch(std::uint32_t batch) {
-  batch_pool_[batch].clear();  // keeps capacity for the next storm
-  free_batches_.push_back(batch);
+void Network::release_batch(Lane& lane, std::uint32_t batch) {
+  lane.batch_pool[batch].clear();  // keeps capacity for the next storm
+  lane.free_batches.push_back(batch);
 }
 
 void Network::deliver_batch(std::uint32_t batch, const Frame& frame) {
@@ -320,10 +292,10 @@ void Network::deliver_batch(std::uint32_t batch, const Frame& frame) {
   // earlier delivery in this very batch can kill a later receiver.
   // Index on every access: a delivery handler may broadcast, growing the
   // pool vector (a different batch index, but possibly reallocating).
-  for (std::size_t i = 0; i < batch_pool_[batch].size(); ++i) {
-    deliver(batch_pool_[batch][i], frame);
+  for (std::size_t i = 0; i < base_.batch_pool[batch].size(); ++i) {
+    deliver(base_.batch_pool[batch][i], frame);
   }
-  release_batch(batch);
+  release_batch(base_, batch);
 }
 
 void Network::broadcast(NodeId sender, FramePayloadPtr payload,
@@ -337,49 +309,45 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
   NodeState& node = nodes_[sender];
   node.energy.consume_tx(bytes);
   refresh_down(sender);  // tx cost may have emptied the battery
-  ++frames_tx_;
+  ++base_.frames_tx;
+  const sim::SimTime now = base_.sim->now();
   if (observer_ != nullptr) {
-    observer_->on_transmit(sim_->now(), sender, kBroadcast, bytes);
+    observer_->on_transmit(now, sender, kBroadcast, bytes);
   }
 
-  refresh_index(sim_->now());
+  refresh_index(now);
   const geo::Vec2 sender_pos = position_of(sender);
-  index_.candidates_near(sender_pos, sim_->now(), &scratch_candidates_);
+  index_.candidates_near(sender_pos, now, &base_.scratch_candidates);
   const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = schedule_tx(node, duration);  // jitter draw
+  const sim::SimTime start = schedule_tx(base_, node, duration);  // jitter
   const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
 
   // One pass over the spatial-index candidates: range filter + channel
   // draws, in candidate order. This is the exact receiver order — and the
-  // exact mac_rng_ draw order — the per-receiver-event baseline used, so
+  // exact mac draw order — the per-receiver-event baseline used, so
   // runs stay bit-identical (asserted by Network.BatchedBroadcastMatches*
   // and the golden fig07 test).
   const double r2 = params_.range * params_.range;
-  // One gate test per transmission: with no active blackout and no burst
-  // the loop below is the exact pre-fault fast path (no per-candidate
-  // blackout lookup, no burst compose in the channel draw).
+  // One gate test per transmission: with no active blackout the loop
+  // below does no per-candidate blackout lookup.
   const bool faulted = faults_active();
-  const std::uint32_t batch = acquire_batch();
-  for (const NodeId cand : scratch_candidates_) {
+  const std::uint32_t batch = acquire_batch(base_);
+  for (const NodeId cand : base_.scratch_candidates) {
     if (cand == sender || !alive(cand)) continue;
     const geo::Vec2 rp = position_of(cand);
     if (geo::distance2(sender_pos, rp) > r2) continue;
     // A blacked-out link behaves like out-of-range: silently skipped, no
     // channel draws (keeps draw order fault-free-identical).
-    if (faulted && link_blacked_out(sender, cand)) continue;
-    const bool lost = faulted ? channel_lost_faulted(mac_rng_, sender_pos, rp)
-                              : channel_lost(mac_rng_, sender_pos, rp);
-    if (lost) {
-      ++frames_lost_;
-      if (observer_ != nullptr) {
-        observer_->on_drop(sim_->now(), sender, cand, bytes);
-      }
+    if (faulted && link_blacked_out(base_, sender, cand)) continue;
+    if (channel_lost(base_.mac_rng, sender_pos, rp)) {
+      ++base_.frames_lost;
+      if (observer_ != nullptr) observer_->on_drop(now, sender, cand, bytes);
       continue;
     }
-    batch_pool_[batch].push_back(cand);
+    base_.batch_pool[batch].push_back(cand);
   }
-  if (batch_pool_[batch].empty()) {
-    release_batch(batch);
+  if (base_.batch_pool[batch].empty()) {
+    release_batch(base_, batch);
     return;
   }
 
@@ -388,7 +356,7 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
   // no payload refcount churn. Survivors are delivered in receiver order,
   // which equals the old contiguous FIFO-tied per-receiver event order.
   Frame frame{sender, kBroadcast, bytes, std::move(payload)};
-  sim_->at(arrival, [this, batch, frame = std::move(frame)] {
+  base_.sim->at(arrival, [this, batch, frame = std::move(frame)] {
     deliver_batch(batch, frame);
   });
 }
@@ -405,39 +373,47 @@ void Network::unicast(NodeId sender, NodeId neighbor, FramePayloadPtr payload,
   NodeState& node = nodes_[sender];
   node.energy.consume_tx(bytes);
   refresh_down(sender);  // tx cost may have emptied the battery
-  ++frames_tx_;
+  ++base_.frames_tx;
+  const sim::SimTime now = base_.sim->now();
   if (observer_ != nullptr) {
-    observer_->on_transmit(sim_->now(), sender, neighbor, bytes);
+    observer_->on_transmit(now, sender, neighbor, bytes);
   }
 
-  const bool faulted = faults_active();
   if (!alive(neighbor) || !in_range(sender, neighbor) ||
-      (faulted && link_blacked_out(sender, neighbor))) {
-    ++frames_lost_;
-    if (observer_ != nullptr) {
-      observer_->on_drop(sim_->now(), sender, neighbor, bytes);
-    }
-    return;
-  }
-  const bool lost =
-      faulted
-          ? channel_lost_faulted(mac_rng_, position_of(sender),
-                                 position_of(neighbor))
-          : channel_lost(mac_rng_, position_of(sender), position_of(neighbor));
-  if (lost) {
-    ++frames_lost_;
-    if (observer_ != nullptr) {
-      observer_->on_drop(sim_->now(), sender, neighbor, bytes);
-    }
+      (faults_active() && link_blacked_out(base_, sender, neighbor)) ||
+      channel_lost(base_.mac_rng, position_of(sender),
+                   position_of(neighbor))) {
+    ++base_.frames_lost;
+    if (observer_ != nullptr) observer_->on_drop(now, sender, neighbor, bytes);
     return;
   }
   const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = schedule_tx(node, duration);
+  const sim::SimTime start = schedule_tx(base_, node, duration);
   const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
   Frame frame{sender, neighbor, bytes, std::move(payload)};
-  sim_->at(arrival, [this, neighbor, frame = std::move(frame)] {
+  base_.sim->at(arrival, [this, neighbor, frame = std::move(frame)] {
     deliver(neighbor, frame);
   });
+}
+
+std::size_t Network::lane_bytes(const Lane& lane) noexcept {
+  std::size_t bytes = lane.scratch_candidates.capacity() * sizeof(NodeId) +
+                      lane.free_batches.capacity() * sizeof(std::uint32_t) +
+                      lane.outbox.capacity() * sizeof(OutMsg) +
+                      lane.tx_out.capacity() * sizeof(lane.tx_out[0]) +
+                      lane.pending_down.capacity() * sizeof(NodeId) +
+                      lane.grid_stamp.capacity() * sizeof(std::uint64_t) +
+                      lane.grid_dist.capacity() * sizeof(int) +
+                      lane.grid_queue.capacity() * sizeof(NodeId) +
+                      lane.grid_cand.capacity() * sizeof(NodeId) +
+                      lane.batch_pool.capacity() * sizeof(lane.batch_pool[0]);
+  for (const auto& batch : lane.batch_pool) {
+    bytes += batch.capacity() * sizeof(NodeId);
+  }
+  for (const OutMsg& msg : lane.outbox) {
+    bytes += msg.receivers.capacity() * sizeof(NodeId);
+  }
+  return bytes;
 }
 
 std::size_t Network::memory_bytes() const noexcept {
@@ -446,43 +422,12 @@ std::size_t Network::memory_bytes() const noexcept {
                       down_.capacity() * sizeof(std::uint8_t) +
                       index_.memory_bytes() +
                       scratch_positions_.capacity() * sizeof(geo::Vec2) +
-                      scratch_candidates_.capacity() * sizeof(NodeId) +
-                      free_batches_.capacity() * sizeof(std::uint32_t) +
-                      grid_stamp_.capacity() * sizeof(std::uint64_t) +
-                      grid_dist_.capacity() * sizeof(int) +
-                      grid_queue_.capacity() * sizeof(NodeId) +
-                      grid_cand_.capacity() * sizeof(NodeId) +
                       blackout_map_.memory_bytes() +
                       blackout_scratch_.capacity() * sizeof(std::uint64_t);
-  bytes += batch_pool_.capacity() * sizeof(batch_pool_[0]);
-  for (const auto& batch : batch_pool_) {
-    bytes += batch.capacity() * sizeof(NodeId);
-  }
-  bytes += shared_adj_.capacity() * sizeof(shared_adj_[0]);
-  for (const auto& row : shared_adj_) {
-    bytes += row.capacity() * sizeof(NodeId);
-  }
   for (const auto& node : nodes_) {
     bytes += node.listeners.capacity() * sizeof(LinkListener*);
   }
-  for (const Lane& lane : lanes_) {
-    bytes += lane.scratch_candidates.capacity() * sizeof(NodeId) +
-             lane.free_batches.capacity() * sizeof(std::uint32_t) +
-             lane.outbox.capacity() * sizeof(OutMsg) +
-             lane.tx_out.capacity() * sizeof(lane.tx_out[0]) +
-             lane.pending_down.capacity() * sizeof(NodeId) +
-             lane.grid_stamp.capacity() * sizeof(std::uint64_t) +
-             lane.grid_dist.capacity() * sizeof(int) +
-             lane.grid_queue.capacity() * sizeof(NodeId) +
-             lane.grid_cand.capacity() * sizeof(NodeId) +
-             lane.batch_pool.capacity() * sizeof(std::vector<NodeId>);
-    for (const auto& batch : lane.batch_pool) {
-      bytes += batch.capacity() * sizeof(NodeId);
-    }
-    for (const OutMsg& msg : lane.outbox) {
-      bytes += msg.receivers.capacity() * sizeof(NodeId);
-    }
-  }
+  for_each_lane([&](const Lane& lane) { bytes += lane_bytes(lane); });
   return bytes;
 }
 
@@ -500,7 +445,7 @@ void Network::enable_sharding(std::vector<sim::Simulator*> shard_sims,
   P2P_ASSERT(home_shard.size() == nodes_.size());
   P2P_ASSERT(cloner != nullptr);
   P2P_ASSERT_MSG(observer_ == nullptr, "observer incompatible with sharding");
-  P2P_ASSERT_MSG(frames_tx_ == 0 && frames_rx_ == 0,
+  P2P_ASSERT_MSG(base_.frames_tx == 0 && base_.frames_rx == 0,
                  "enable_sharding must precede any traffic");
   for (const std::uint32_t s : home_shard) {
     P2P_ASSERT(s < shard_sims.size());
@@ -542,7 +487,7 @@ void Network::end_window(sim::SimTime /*end*/) {
       OutMsg& msg = lane.outbox[i];
       Lane& dst = lanes_[msg.dst_shard];
       FramePayloadPtr clone = cloner_(*msg.payload, *dst.pools);
-      const std::uint32_t batch = lane_acquire_batch(dst);
+      const std::uint32_t batch = acquire_batch(dst);
       dst.batch_pool[batch].assign(msg.receivers.begin(), msg.receivers.end());
       Frame frame{msg.sender, msg.link_dst, msg.size_bytes, std::move(clone)};
       dst.sim->at(msg.arrival, [this, batch, frame = std::move(frame)] {
@@ -578,42 +523,11 @@ bool Network::sharded_in_range(NodeId a, NodeId b) const noexcept {
          r2;
 }
 
-bool Network::sharded_link_blacked_out(const Lane& lane, NodeId a,
-                                       NodeId b) const {
-  const sim::SimTime* end = blackout_map_.find(link_key(a, b));
-  return end != nullptr && *end > lane.sim->now();
-}
-
 void Network::note_energy_death(Lane& lane, NodeId id) {
   // down_ is read-only while shards run; queue the flip for the barrier.
   if (down_[id] == 0 && !nodes_[id].energy.alive()) {
     lane.pending_down.push_back(id);
   }
-}
-
-std::uint32_t Network::lane_acquire_batch(Lane& lane) {
-  if (!lane.free_batches.empty()) {
-    const std::uint32_t batch = lane.free_batches.back();
-    lane.free_batches.pop_back();
-    return batch;
-  }
-  lane.batch_pool.emplace_back();
-  return static_cast<std::uint32_t>(lane.batch_pool.size() - 1);
-}
-
-void Network::lane_release_batch(Lane& lane, std::uint32_t batch) {
-  lane.batch_pool[batch].clear();
-  lane.free_batches.push_back(batch);
-}
-
-sim::SimTime Network::sharded_schedule_tx(Lane& lane, NodeState& node,
-                                          double duration) {
-  const sim::SimTime defer =
-      lane.mac_rng.uniform(0.0, params_.mac.jitter_max_s);
-  sim::SimTime start = lane.sim->now() + defer;
-  if (start < node.next_free_tx) start = node.next_free_tx;
-  node.next_free_tx = start + duration;
-  return start;
 }
 
 void Network::sharded_deliver(Lane& lane, NodeId receiver, const Frame& frame) {
@@ -635,7 +549,7 @@ void Network::sharded_deliver_batch(Lane& lane, std::uint32_t batch,
   for (std::size_t i = 0; i < lane.batch_pool[batch].size(); ++i) {
     sharded_deliver(lane, lane.batch_pool[batch][i], frame);
   }
-  lane_release_batch(lane, batch);
+  release_batch(lane, batch);
 }
 
 void Network::sharded_broadcast(Lane& lane, NodeId sender,
@@ -653,23 +567,20 @@ void Network::sharded_broadcast(Lane& lane, NodeId sender,
   index_.candidates_near(sender_pos, lane.sim->now(),
                          &lane.scratch_candidates);
   const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = sharded_schedule_tx(lane, node, duration);
+  const sim::SimTime start = schedule_tx(lane, node, duration);
   const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
 
   const double r2 = params_.range * params_.range;
   const bool faulted = faults_frozen_;
   const std::uint32_t my_shard = home_shard_[sender];
-  const std::uint32_t batch = lane_acquire_batch(lane);
+  const std::uint32_t batch = acquire_batch(lane);
   lane.tx_out.clear();
   for (const NodeId cand : lane.scratch_candidates) {
     if (cand == sender || !alive(cand)) continue;
     const geo::Vec2 rp = index_.cached_position(cand);
     if (geo::distance2(sender_pos, rp) > r2) continue;
-    if (faulted && sharded_link_blacked_out(lane, sender, cand)) continue;
-    const bool lost = faulted
-                          ? channel_lost_faulted(lane.mac_rng, sender_pos, rp)
-                          : channel_lost(lane.mac_rng, sender_pos, rp);
-    if (lost) {
+    if (faulted && link_blacked_out(lane, sender, cand)) continue;
+    if (channel_lost(lane.mac_rng, sender_pos, rp)) {
       ++lane.frames_lost;
       continue;
     }
@@ -707,7 +618,7 @@ void Network::sharded_broadcast(Lane& lane, NodeId sender,
     lane.outbox[slot].payload = payload;
   }
   if (lane.batch_pool[batch].empty()) {
-    lane_release_batch(lane, batch);
+    release_batch(lane, batch);
     return;
   }
   Frame frame{sender, kBroadcast, bytes, std::move(payload)};
@@ -724,22 +635,15 @@ void Network::sharded_unicast(Lane& lane, NodeId sender, NodeId neighbor,
   note_energy_death(lane, sender);
   ++lane.frames_tx;
 
-  const bool faulted = faults_frozen_;
   if (!alive(neighbor) || !sharded_in_range(sender, neighbor) ||
-      (faulted && sharded_link_blacked_out(lane, sender, neighbor))) {
-    ++lane.frames_lost;
-    return;
-  }
-  const geo::Vec2 sp = index_.cached_position(sender);
-  const geo::Vec2 np = index_.cached_position(neighbor);
-  const bool lost = faulted ? channel_lost_faulted(lane.mac_rng, sp, np)
-                            : channel_lost(lane.mac_rng, sp, np);
-  if (lost) {
+      (faults_frozen_ && link_blacked_out(lane, sender, neighbor)) ||
+      channel_lost(lane.mac_rng, index_.cached_position(sender),
+                   index_.cached_position(neighbor))) {
     ++lane.frames_lost;
     return;
   }
   const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = sharded_schedule_tx(lane, node, duration);
+  const sim::SimTime start = schedule_tx(lane, node, duration);
   const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
   if (home_shard_[neighbor] == home_shard_[sender]) {
     Frame frame{sender, neighbor, bytes, std::move(payload)};
@@ -759,66 +663,32 @@ void Network::sharded_unicast(Lane& lane, NodeId sender, NodeId neighbor,
   msg.receivers.push_back(neighbor);
 }
 
-int Network::sharded_hop_distance(Lane& lane, NodeId a, NodeId b) {
-  // Grid BFS like the sequential fallback, but over cached positions and
-  // lane-owned scratch (the shared snapshot memo is global-clock state).
-  const std::size_t n = nodes_.size();
-  if (a >= n || b >= n) return graph::kUnreachable;
-  if (a == b) return 0;
-  if (!alive(a) || !alive(b)) return graph::kUnreachable;
-  if (lane.grid_stamp.size() < n) {
-    lane.grid_stamp.resize(n, 0);
-    lane.grid_dist.resize(n);
-  }
-  const std::uint64_t gen = ++lane.grid_gen;
-  const double r2 = params_.range * params_.range;
-  lane.grid_queue.clear();
-  lane.grid_queue.push_back(a);
-  lane.grid_stamp[a] = gen;
-  lane.grid_dist[a] = 0;
-  for (std::size_t head = 0; head < lane.grid_queue.size(); ++head) {
-    const NodeId u = lane.grid_queue[head];
-    const int du = lane.grid_dist[u];
-    const geo::Vec2 up = index_.cached_position(u);
-    index_.candidates_near(up, lane.sim->now(), &lane.grid_cand);
-    for (const NodeId v : lane.grid_cand) {
-      if (lane.grid_stamp[v] == gen || v == u || !alive(v)) continue;
-      if (geo::distance2(up, index_.cached_position(v)) > r2) continue;
-      if (v == b) return du + 1;
-      lane.grid_stamp[v] = gen;
-      lane.grid_dist[v] = du + 1;
-      lane.grid_queue.push_back(v);
-    }
-  }
-  return graph::kUnreachable;
-}
-
 PayloadPools::Stats Network::pool_stats() const noexcept {
-  PayloadPools::Stats total = pools_.stats();
-  for (const Lane& lane : lanes_) {
+  PayloadPools::Stats total;
+  for_each_lane([&](const Lane& lane) {
     const PayloadPools::Stats s = lane.pools->stats();
     total.acquires += s.acquires;
     total.slab_allocs += s.slab_allocs;
     total.peak_live += s.peak_live;
-  }
+  });
   return total;
 }
 
 std::uint64_t Network::frames_transmitted() const noexcept {
-  std::uint64_t total = frames_tx_;
-  for (const Lane& lane : lanes_) total += lane.frames_tx;
+  std::uint64_t total = 0;
+  for_each_lane([&](const Lane& lane) { total += lane.frames_tx; });
   return total;
 }
 
 std::uint64_t Network::frames_delivered() const noexcept {
-  std::uint64_t total = frames_rx_;
-  for (const Lane& lane : lanes_) total += lane.frames_rx;
+  std::uint64_t total = 0;
+  for_each_lane([&](const Lane& lane) { total += lane.frames_rx; });
   return total;
 }
 
 std::uint64_t Network::frames_lost() const noexcept {
-  std::uint64_t total = frames_lost_;
-  for (const Lane& lane : lanes_) total += lane.frames_lost;
+  std::uint64_t total = 0;
+  for_each_lane([&](const Lane& lane) { total += lane.frames_lost; });
   return total;
 }
 

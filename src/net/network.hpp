@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "geo/vec2.hpp"
-#include "graph/graph.hpp"
 #include "mobility/model.hpp"
 #include "net/energy.hpp"
 #include "net/mac.hpp"
@@ -79,29 +78,13 @@ class Network {
   /// Physical connectivity graph over live nodes at the current time.
   /// adjacency[i] lists i's neighbors; down nodes get empty lists.
   std::vector<std::vector<NodeId>> adjacency_snapshot();
-  /// Buffer-reusing overload for callers that snapshot repeatedly
-  /// (reconfiguration rounds): inner vectors keep their capacity across
-  /// calls, and fresh ones are reserved from the previous round's mean
-  /// degree.
-  void adjacency_snapshot(std::vector<std::vector<NodeId>>* out);
 
-  /// Network-level adjacency snapshot, memoized on {now, liveness epoch}:
-  /// every servent answering query hits at the same simulated instant
-  /// shares ONE build (and one resident structure) instead of each holding
-  /// an O(n^2) private copy. Invalidated by time advancing or any node
-  /// flipping between alive and down. Borrow only — do not hold across
-  /// simulated time.
-  const std::vector<std::vector<NodeId>>& shared_adjacency();
-  /// How many times shared_adjacency() actually rebuilt (the memoization
-  /// regression tests pin this).
-  std::uint64_t adjacency_builds() const noexcept { return adjacency_builds_; }
-
-  /// Physical hop distance between two nodes. Uses the shared snapshot
-  /// when it is already fresh; otherwise runs a BFS directly over the
-  /// spatial grid (explores only the ball around `a`, early-exits at `b`)
-  /// instead of materializing the full adjacency for a single distance.
-  /// Either path yields the same unique BFS distance. Network-owned
-  /// scratch — no per-query allocations.
+  /// Physical hop distance between two nodes, or graph::kUnreachable: a
+  /// BFS directly over the spatial grid (explores only the ball around
+  /// `a`, early-exits at `b`) instead of materializing the full adjacency
+  /// for a single distance. Same edge relation as adjacency_snapshot(), so
+  /// the same unique BFS distance. Lane-owned scratch — no per-query
+  /// allocations.
   int physical_hop_distance(NodeId a, NodeId b);
 
   EnergyModel& energy(NodeId id);
@@ -126,8 +109,6 @@ class Network {
   /// Suppress the link between `a` and `b` (both directions) until `until`.
   /// Extends an existing blackout if one is active.
   void set_link_blackout(NodeId a, NodeId b, sim::SimTime until);
-  /// Is the (a, b) link currently blacked out?
-  bool link_blacked_out(NodeId a, NodeId b) const;
   /// Gilbert-Elliott bad state: extra loss probability composed with the
   /// base MAC loss (p_eff = 1 - (1-p_base)(1-p_burst)); 0 restores the
   /// good state.
@@ -145,7 +126,7 @@ class Network {
   /// time has passed and the burst is off, the flag drops back to false.
   bool faults_active() noexcept {
     if (!faults_active_) return false;
-    if (burst_loss_ > 0.0 || blackout_horizon_ > sim_->now()) return true;
+    if (burst_loss_ > 0.0 || blackout_horizon_ > base_.sim->now()) return true;
     faults_active_ = false;
     return false;
   }
@@ -155,7 +136,7 @@ class Network {
   /// (a dead-but-in-range next hop is just as gone as an out-of-range one).
   bool link_usable(NodeId a, NodeId b);
 
-  sim::Simulator& simulator() noexcept { return *sim_; }
+  sim::Simulator& simulator() noexcept { return *base_.sim; }
   const NetworkParams& params() const noexcept { return params_; }
 
   /// Per-run payload pools: every message this world sends is acquired
@@ -163,23 +144,18 @@ class Network {
   /// queued in the simulator keep their pools alive past ~Network. In
   /// sharded mode a caller executing inside a shard window gets its lane's
   /// private pools (non-atomic refcounts stay single-threaded); everyone
-  /// else — build, global events, collection — gets the base pools.
-  PayloadPools& pools() noexcept {
-    Lane* lane = tls_lane_;
-    return lane != nullptr ? *lane->pools : pools_;
-  }
-  const PayloadPools& pools() const noexcept {
-    Lane* lane = tls_lane_;
-    return lane != nullptr ? *lane->pools : pools_;
-  }
-  /// Aggregate pool stats over the base pools and every lane's pools.
+  /// else — build, global events, collection — gets the base lane's pools.
+  PayloadPools& pools() noexcept { return *lane().pools; }
+  const PayloadPools& pools() const noexcept { return *lane().pools; }
+  /// Aggregate pool stats over the base lane and every shard lane.
   PayloadPools::Stats pool_stats() const noexcept;
 
   // ---- sharded (conservative parallel) execution ------------------------
   // See sim/sharded.hpp for the execution model. The Network keeps ONE
-  // world (nodes, liveness, spatial index, blackouts) but splits the hot
-  // delivery path into per-shard *lanes*: each lane owns a Simulator, a
-  // mac RNG stream, payload pools, broadcast batches and scratch — so a
+  // world (nodes, liveness, spatial index, blackouts) but runs the hot
+  // delivery path on *lanes*: each lane owns a Simulator, a mac RNG
+  // stream, payload pools, broadcast batches and scratch. The sequential
+  // path runs on the base lane; sharded mode adds one lane per shard, so a
   // shard's window runs without touching any other lane's mutable state.
   // Cross-shard deliveries queue in a per-lane outbox and are merged at
   // the window barrier in fixed shard order.
@@ -242,14 +218,14 @@ class Network {
     observer_ = observer;
   }
 
-  // Telemetry. In sharded mode these sum the per-lane counters (plus any
-  // sequential-path traffic from before/after the windows).
+  // Telemetry: these sum the base lane's counters (the sequential path, or
+  // traffic outside the windows) and every shard lane's.
   std::uint64_t frames_transmitted() const noexcept;
   std::uint64_t frames_delivered() const noexcept;
   std::uint64_t frames_lost() const noexcept;
 
   /// Approximate bytes held by the network layer: dense per-node arrays,
-  /// the spatial index, adjacency/BFS scratch, broadcast batch pools, and
+  /// the spatial index, every lane's scratch, batch pools and outbox, and
   /// the blackout ledger. Everything here is O(n) or O(active faults) —
   /// the mega-scale telemetry sums it per run to pin that down.
   std::size_t memory_bytes() const noexcept;
@@ -286,10 +262,13 @@ class Network {
     FramePayloadPtr payload;
     std::vector<NodeId> receivers;
   };
-  /// Per-shard execution lane: everything the delivery hot path mutates,
-  /// privatized so a window runs without synchronization. Node state
-  /// (energy, tx serialization, listeners) is owned by the node's home
-  /// lane by construction — only that lane executes the node's events.
+  /// Execution lane: everything the delivery hot path mutates. The base
+  /// lane serves the sequential path, global events and collection; each
+  /// shard lane is privatized so a window runs without synchronization.
+  /// Node state (energy, tx serialization, listeners) is owned by the
+  /// node's home lane by construction — only that lane executes the node's
+  /// events. The outbox, tx_out and pending_down stay empty on the base
+  /// lane.
   struct Lane {
     Lane(sim::Simulator* s, sim::RngStream rng)
         : sim(s),
@@ -299,6 +278,10 @@ class Network {
     sim::RngStream mac_rng;
     std::unique_ptr<PayloadPools> pools;
     std::vector<NodeId> scratch_candidates;
+    // Recycled receiver lists for in-flight broadcast arrival events. A
+    // batch index stays stable while the pool vector grows (nested
+    // broadcasts from a delivery handler), so events capture the index,
+    // never a reference.
     std::vector<std::vector<NodeId>> batch_pool;
     std::vector<std::uint32_t> free_batches;
     std::vector<OutMsg> outbox;
@@ -309,7 +292,10 @@ class Network {
     /// Nodes whose battery died inside the window; down_ flips at the
     /// barrier (liveness is read-only while shards run).
     std::vector<NodeId> pending_down;
-    // Grid-BFS scratch (physical_hop_distance inside a window).
+    // Grid-BFS scratch for physical_hop_distance(): generation-stamped
+    // visited marks plus a flat frontier, and a dedicated candidate buffer
+    // (scratch_candidates is live inside broadcast(), which can be on the
+    // stack when a distance is queried).
     std::vector<std::uint64_t> grid_stamp;
     std::vector<int> grid_dist;
     std::vector<NodeId> grid_queue;
@@ -320,9 +306,42 @@ class Network {
     std::uint64_t frames_lost = 0;
   };
 
-  // Sharded delivery paths — mirror the sequential ones below but draw
-  // jitter/channel from the lane RNG, filter ranges against the index's
-  // cached positions, and defer liveness writes.
+  /// The lane bound to the calling thread inside a window, else the base
+  /// lane.
+  Lane& lane() noexcept {
+    Lane* lane = tls_lane_;
+    return lane != nullptr ? *lane : base_;
+  }
+  const Lane& lane() const noexcept {
+    const Lane* lane = tls_lane_;
+    return lane != nullptr ? *lane : base_;
+  }
+  /// Calls fn on the base lane, then on every shard lane in shard order.
+  template <typename Fn>
+  void for_each_lane(Fn&& fn) const {
+    fn(base_);
+    for (const Lane& lane : lanes_) fn(lane);
+  }
+  static std::size_t lane_bytes(const Lane& lane) noexcept;
+
+  // Lane mechanics shared by the sequential (base lane) and sharded paths.
+  std::uint32_t acquire_batch(Lane& lane);
+  void release_batch(Lane& lane, std::uint32_t batch);
+  /// Start time of the next transmission by `node` (jitter drawn from the
+  /// lane's stream + half-duplex serialization); advances the node's busy
+  /// horizon.
+  sim::SimTime schedule_tx(Lane& lane, NodeState& node, double duration);
+  /// Is the (a, b) link blacked out at the lane's clock?
+  bool link_blacked_out(const Lane& lane, NodeId a, NodeId b) const;
+  /// BFS over the spatial grid from `a` to `b` on the lane's scratch, with
+  /// `pos(id)` supplying positions (fresh or index-cached). Callers have
+  /// already handled out-of-range ids, a == b and dead endpoints.
+  template <typename PositionFn>
+  int grid_hop_distance(Lane& lane, NodeId a, NodeId b, PositionFn pos);
+
+  // Sharded delivery paths — mirror the sequential ones below but filter
+  // ranges against the index's cached positions, defer liveness writes,
+  // and queue cross-shard receivers in the lane's outbox.
   void sharded_broadcast(Lane& lane, NodeId sender, FramePayloadPtr payload,
                          std::size_t bytes);
   void sharded_unicast(Lane& lane, NodeId sender, NodeId neighbor,
@@ -331,13 +350,7 @@ class Network {
   void sharded_deliver_batch(Lane& lane, std::uint32_t batch,
                              const Frame& frame);
   bool sharded_in_range(NodeId a, NodeId b) const noexcept;
-  int sharded_hop_distance(Lane& lane, NodeId a, NodeId b);
-  sim::SimTime sharded_schedule_tx(Lane& lane, NodeState& node,
-                                   double duration);
-  bool sharded_link_blacked_out(const Lane& lane, NodeId a, NodeId b) const;
   void note_energy_death(Lane& lane, NodeId id);
-  std::uint32_t lane_acquire_batch(Lane& lane);
-  void lane_release_batch(Lane& lane, std::uint32_t batch);
 
   /// position_of at an explicit instant (same per-node memo).
   geo::Vec2 sample_position_at(NodeId id, sim::SimTime t);
@@ -353,76 +366,31 @@ class Network {
   /// Exact in-range receiver set for a transmission from `sender`.
   void receivers_of(NodeId sender, std::vector<NodeId>* out);
   void deliver(NodeId receiver, const Frame& frame);
-  /// Deliver one shared frame to every receiver in the batch, in order,
-  /// then return the receiver list to the pool.
+  /// Deliver one shared frame to every receiver in the base lane's batch,
+  /// in order, then return the receiver list to the pool.
   void deliver_batch(std::uint32_t batch, const Frame& frame);
-  std::uint32_t acquire_batch();
-  void release_batch(std::uint32_t batch);
-  /// Start time of the next transmission by `sender` (jitter + half-duplex
-  /// serialization); advances the node's busy horizon.
-  sim::SimTime schedule_tx(NodeState& node, double duration);
 
   /// Recompute down_[id] from the authoritative NodeState (failed flag +
-  /// battery); called wherever either input can change. Compare before
-  /// store: the liveness epoch (which invalidates the shared adjacency
-  /// memo) bumps only on an actual flip, and this runs on every tx/rx.
+  /// battery); called wherever either input can change.
   void refresh_down(NodeId id) noexcept {
-    const auto down = static_cast<std::uint8_t>(nodes_[id].failed ||
-                                                !nodes_[id].energy.alive());
-    if (down != down_[id]) {
-      down_[id] = down;
-      ++liveness_epoch_;
-    }
+    down_[id] = static_cast<std::uint8_t>(nodes_[id].failed ||
+                                          !nodes_[id].energy.alive());
   }
 
-  sim::Simulator* sim_;
   NetworkParams params_;
-  sim::RngStream mac_rng_;
+  Lane base_;  // the constructor's Simulator and mac stream
   std::vector<NodeState> nodes_;
   std::vector<PosCache> pos_cache_;  // hot: position memo per node
   std::vector<std::uint8_t> down_;   // hot: 1 = failed or battery dead
   NeighborIndex index_;
   std::vector<geo::Vec2> scratch_positions_;
-  std::vector<NodeId> scratch_candidates_;
-  // Recycled receiver lists for in-flight broadcast arrival events. A
-  // batch index stays stable while the pool vector grows (nested
-  // broadcasts from a delivery handler), so events capture the index,
-  // never a reference.
-  std::vector<std::vector<NodeId>> batch_pool_;
-  std::vector<std::uint32_t> free_batches_;
-  std::size_t degree_hint_ = 0;  // mean degree seen by the last snapshot
 
-  // Shared adjacency memo (see shared_adjacency()). liveness_epoch_ counts
-  // alive<->down flips and node additions; the snapshot is fresh while
-  // both the simulated instant and the epoch match the last build.
-  PayloadPools pools_;
-  std::vector<std::vector<NodeId>> shared_adj_;
-  sim::SimTime shared_adj_time_ = -1.0;  // SimTime is never negative
-  std::uint64_t shared_adj_epoch_ = 0;
-  std::uint64_t liveness_epoch_ = 0;
-  std::uint64_t adjacency_builds_ = 0;
-  graph::BfsScratch bfs_scratch_;
-  // Grid-BFS scratch for physical_hop_distance() when the shared snapshot
-  // is stale: generation-stamped visited marks plus a flat frontier, and a
-  // dedicated candidate buffer (scratch_candidates_ is live inside
-  // broadcast(), which can be on the stack when a distance is queried).
-  std::vector<std::uint64_t> grid_stamp_;
-  std::vector<int> grid_dist_;
-  std::vector<NodeId> grid_queue_;
-  std::vector<NodeId> grid_cand_;
-  std::uint64_t grid_gen_ = 0;
-
-  /// One channel-level draw (base loss + gray zone) — the fault-free fast
-  /// path; callers check faults_active() and take channel_lost_faulted()
-  /// instead while a burst may be in force. The stream is a parameter so
-  /// sequential paths draw from mac_rng_ and shard lanes from their own
-  /// stream with identical draw logic.
+  /// One channel-level draw: base loss (with the Gilbert-Elliott burst
+  /// composed in while one is in force) + gray zone, from the lane's
+  /// stream. With the burst off this is exactly the fault-free draw,
+  /// including the draw-only-when-positive fast path.
   bool channel_lost(sim::RngStream& rng, const geo::Vec2& from,
                     const geo::Vec2& to);
-  /// Same draw with the Gilbert-Elliott burst composed into the base loss.
-  /// Identical RNG draw order to channel_lost() when burst_loss_ == 0.
-  bool channel_lost_faulted(sim::RngStream& rng, const geo::Vec2& from,
-                            const geo::Vec2& to);
 
   /// Key of the unordered link {a,b} in the blackout ledger (lo in the
   /// high word so keys are unique per pair).
@@ -455,11 +423,8 @@ class Network {
   bool faults_active_ = false;
 
   NetObserver* observer_ = nullptr;
-  std::uint64_t frames_tx_ = 0;
-  std::uint64_t frames_rx_ = 0;
-  std::uint64_t frames_lost_ = 0;
 
-  // Sharded mode (empty lanes_ = sequential; see enable_sharding).
+  // Shard lanes (empty = sequential; see enable_sharding).
   std::vector<Lane> lanes_;
   std::vector<std::uint32_t> home_shard_;
   FrameCloner cloner_ = nullptr;
@@ -469,7 +434,8 @@ class Network {
   bool faults_frozen_ = false;
   /// Lane bound to the executing thread between enter_shard/exit_shard;
   /// null outside windows, which routes every dispatching entry point
-  /// (broadcast, unicast, pools, in_range, ...) to the sequential path.
+  /// (broadcast, unicast, pools, in_range, ...) to the sequential path on
+  /// the base lane.
   static thread_local Lane* tls_lane_;
 };
 

@@ -132,8 +132,6 @@ TEST(Graph, BfsReachListsTheComponentInBfsOrder) {
     EXPECT_GE(scratch.distance(v), last);  // BFS order: non-decreasing
     last = scratch.distance(v);
   }
-  // A pair query in between does not disturb the next sweep.
-  EXPECT_EQ(bfs_distance(g.adjacency(), 2, 3, scratch), 3);
   const auto isolated = bfs_reach(g.adjacency(), 4, scratch);
   ASSERT_EQ(isolated.size(), 1U);
   EXPECT_EQ(scratch.distance(4), 0);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -428,65 +429,9 @@ TEST(Network, BatchedBroadcastMatchesPerReceiverChannelDraws) {
   EXPECT_EQ(network.frames_delivered(), expected.size());
 }
 
-// The buffer-reuse overload of adjacency_snapshot must agree with the
-// value-returning one and must fully overwrite stale rows on reuse.
-TEST(Network, AdjacencySnapshotBufferReuseMatchesFresh) {
-  Fixture f;
-  f.add(0, 0);
-  const NodeId b = f.add(6, 0);
-  f.add(12, 0);
-
-  std::vector<std::vector<NodeId>> buffer;
-  f.net->adjacency_snapshot(&buffer);
-  EXPECT_EQ(buffer, f.net->adjacency_snapshot());
-
-  // Kill the hub and snapshot into the SAME buffer: every stale mention
-  // of b must be gone even though row capacity is recycled.
-  f.net->set_failed(b, true);
-  f.net->adjacency_snapshot(&buffer);
-  EXPECT_EQ(buffer, f.net->adjacency_snapshot());
-  EXPECT_TRUE(buffer[b].empty());
-  for (const auto& row : buffer) {
-    EXPECT_TRUE(std::find(row.begin(), row.end(), b) == row.end());
-  }
-}
-
-// Regression: per-query-hit topology must be SHARED, network-level state.
-// Before the shared memo each servent kept a private O(n^2) snapshot and
-// rebuilt it per hit; if that ever comes back, the build counter here
-// starts climbing with the number of borrows instead of the number of
-// (instant, liveness-epoch) pairs.
-TEST(Network, SharedAdjacencyMemoizesPerInstantAndLivenessEpoch) {
-  Fixture f;
-  const NodeId a = f.add(0, 0);
-  f.add(6, 0);
-  f.add(12, 0);
-
-  const std::uint64_t builds0 = f.net->adjacency_builds();
-  const auto* first = &f.net->shared_adjacency();
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(&f.net->shared_adjacency(), first);  // same resident storage
-  }
-  EXPECT_EQ(f.net->adjacency_builds(), builds0 + 1);
-
-  // Advancing simulated time invalidates the memo once...
-  f.sim.after(1.0, [] {});
-  f.sim.run();
-  f.net->shared_adjacency();
-  f.net->shared_adjacency();
-  EXPECT_EQ(f.net->adjacency_builds(), builds0 + 2);
-
-  // ...and so does a liveness flip at the same instant.
-  f.net->set_failed(a, true);
-  const auto& after_kill = f.net->shared_adjacency();
-  EXPECT_EQ(f.net->adjacency_builds(), builds0 + 3);
-  EXPECT_TRUE(after_kill[a].empty());
-}
-
-// physical_hop_distance takes a grid-BFS shortcut when the shared memo is
-// stale; the answer must equal a BFS over the full snapshot in every case
-// (chain, unreachable island, dead endpoint, self), and the shortcut must
-// not trigger a shared-snapshot build.
+// physical_hop_distance runs a BFS over the spatial grid; the answer must
+// equal a BFS over the full snapshot in every case (chain, unreachable
+// island, dead endpoint, self).
 TEST(Network, PhysicalHopDistanceGridPathMatchesSnapshotBfs) {
   Fixture f;
   std::vector<NodeId> chain;
@@ -496,7 +441,6 @@ TEST(Network, PhysicalHopDistanceGridPathMatchesSnapshotBfs) {
   f.net->set_failed(dead, true);
 
   const auto adj = f.net->adjacency_snapshot();
-  const std::uint64_t builds0 = f.net->adjacency_builds();
   for (NodeId src = 0; src < 7; ++src) {
     for (NodeId dst = 0; dst < 7; ++dst) {
       EXPECT_EQ(f.net->physical_hop_distance(src, dst),
@@ -509,15 +453,123 @@ TEST(Network, PhysicalHopDistanceGridPathMatchesSnapshotBfs) {
             graph::kUnreachable);
   EXPECT_EQ(f.net->physical_hop_distance(chain[0], dead),
             graph::kUnreachable);
-  // The grid path materialized no shared snapshot.
-  EXPECT_EQ(f.net->adjacency_builds(), builds0);
+}
 
-  // With the memo fresh, the snapshot fast path answers identically.
-  f.net->shared_adjacency();
-  EXPECT_EQ(f.net->physical_hop_distance(chain[0], chain[4]), 4);
-  EXPECT_EQ(f.net->physical_hop_distance(chain[1], island),
-            graph::kUnreachable);
-  EXPECT_EQ(f.net->adjacency_builds(), builds0 + 1);
+// Inside a shard window the link queries run on the shard's lane over the
+// spatial index's cached positions and the frozen fault gate. On a static
+// world cached positions equal fresh ones, so every pair must get the
+// sequential answer — including a blacked-out link and a dead node.
+TEST(Network, WindowLinkQueriesMatchSequentialOnStaticWorld) {
+  Fixture f;
+  for (int i = 0; i < 5; ++i) f.add(6.0 * i, 0.0);
+  f.add(100.0, 100.0);
+  const NodeId dead = f.add(3.0, 5.0);
+  f.net->set_failed(dead, true);
+  f.net->set_link_blackout(1, 2, 50.0);
+  const NodeId n = static_cast<NodeId>(f.net->size());
+
+  struct Answer {
+    int hops;
+    bool in_range;
+    bool usable;
+    bool operator==(const Answer&) const = default;
+  };
+  auto answers = [&] {
+    std::vector<Answer> out;
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = 0; b < n; ++b) {
+        out.push_back({f.net->physical_hop_distance(a, b),
+                       f.net->in_range(a, b), f.net->link_usable(a, b)});
+      }
+    }
+    return out;
+  };
+  const std::vector<Answer> sequential = answers();
+  EXPECT_FALSE(f.net->link_usable(1, 2));  // the blackout is in force
+  EXPECT_TRUE(f.net->in_range(1, 2));
+
+  sim::Simulator shard0;
+  sim::Simulator shard1;
+  std::vector<std::uint32_t> home(n);
+  for (NodeId id = 0; id < n; ++id) home[id] = id % 2;
+  std::vector<sim::RngStream> rngs;
+  rngs.emplace_back(11);
+  rngs.emplace_back(12);
+  // No traffic crosses shards here, so the cloner is never called.
+  f.net->enable_sharding({&shard0, &shard1}, std::move(home), std::move(rngs),
+                         [](const FramePayload&, net::PayloadPools&) {
+                           return net::FramePayloadPtr();
+                         });
+  f.net->begin_window(0.0, 1.0);
+  f.net->enter_shard(0);
+  EXPECT_EQ(f.net->current_shard(), 0U);
+  const std::vector<Answer> windowed = answers();
+  f.net->exit_shard();
+  f.net->end_window(1.0);
+  EXPECT_EQ(f.net->current_shard(), Network::kNoShard);
+  EXPECT_TRUE(windowed == sequential);
+}
+
+// A Gilbert-Elliott burst composes with the base loss as
+// p_eff = 1 - (1 - p_base)(1 - p_burst), in one draw per receiver: twin A
+// (base p, burst b) and twin B (base p_eff, no burst) on the same mac
+// stream deliver the same frames to the same receivers. With the burst
+// lifted, A must match a fault-free twin C (gray zone off, so every twin
+// takes one loss draw per receiver and the streams stay in step).
+TEST(Network, BurstLossComposesWithBaseLoss) {
+  constexpr double kBase = 0.2;
+  constexpr double kBurst = 0.5;
+  constexpr double kEffective = 1.0 - (1.0 - kBase) * (1.0 - kBurst);
+  struct Twin {
+    sim::Simulator sim;
+    std::unique_ptr<Network> net;
+    std::vector<std::pair<int, NodeId>> log;
+    std::vector<OrderRecorder> recs;
+    explicit Twin(double loss) : recs(6) {
+      NetworkParams params;
+      params.mac.loss_probability = loss;
+      net = std::make_unique<Network>(sim, params, sim::RngStream(9));
+      for (NodeId i = 0; i < recs.size(); ++i) {
+        const NodeId id = net->add_node(std::make_unique<mobility::StaticModel>(
+            geo::Vec2{1.5 * i, 0.5 * i}));
+        recs[i].self = id;
+        recs[i].log = &log;
+        net->attach_listener(id, &recs[i]);
+      }
+    }
+    void send(int tag) {
+      net->broadcast(0, net::make_payload<const TestPayload>(tag), 64);
+      sim.run();
+    }
+  };
+  Twin a(kBase);
+  Twin b(kEffective);
+  Twin c(kBase);
+  a.net->set_burst_loss(kBurst);
+  const int kFrames = 60;
+  for (int i = 0; i < kFrames; ++i) {
+    a.send(i);
+    b.send(i);
+    c.send(i);
+    ASSERT_EQ(a.log, b.log) << "frame " << i;
+    ASSERT_EQ(a.net->frames_lost(), b.net->frames_lost()) << "frame " << i;
+  }
+  EXPECT_GT(a.net->frames_lost(), c.net->frames_lost());  // the burst bit
+
+  a.net->set_burst_loss(0.0);
+  const auto a_mark = static_cast<std::ptrdiff_t>(a.log.size());
+  const auto c_mark = static_cast<std::ptrdiff_t>(c.log.size());
+  const std::uint64_t a_lost = a.net->frames_lost();
+  const std::uint64_t c_lost = c.net->frames_lost();
+  for (int i = kFrames; i < 2 * kFrames; ++i) {
+    a.send(i);
+    c.send(i);
+    ASSERT_TRUE(std::equal(a.log.begin() + a_mark, a.log.end(),
+                           c.log.begin() + c_mark, c.log.end()))
+        << "frame " << i;
+    ASSERT_EQ(a.net->frames_lost() - a_lost, c.net->frames_lost() - c_lost)
+        << "frame " << i;
+  }
 }
 
 // ---- NeighborIndex steady-state allocation lock-in ------------------------

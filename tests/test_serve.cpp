@@ -235,6 +235,10 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrors) {
       {"{\"config\":{\"mac_loss_probability\":1.5}}",
        "\"code\":\"bad_config\""},
       {"{\"config\":{\"num_nodes\":[5]}}", "\"code\":\"bad_request\""},
+      // Would abort the worker in build() if apply() let it through.
+      {"{\"config\":{\"num_nodes\":30,\"duration_s\":20,"
+       "\"invariant_check_interval\":5,\"sim_threads\":2},\"seeds\":[1]}",
+       "\"code\":\"bad_config\""},
   };
 
   // All on ONE connection: every error must leave the session usable.
