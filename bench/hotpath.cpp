@@ -8,7 +8,7 @@
 //              figure in the paper.
 //
 // Unlike the google-benchmark binary (micro_kernel), this harness emits
-// machine-readable JSON so every PR can record the perf trajectory: one
+// machine-readable JSON, which tools/ab.py compares across revisions: one
 // JSON object per benchmark, appended as a line to --out (JSON Lines; see
 // docs/performance.md). Wall time is the only nondeterministic field —
 // workloads are fixed-seed so counters (events, frames, peak queue) are
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
     emit(bench_timer_churn(ops, opt.repeat), opt);
     // Depth sweep. Full depths even in smoke (the setup fill is cheap);
     // only the measured op count shrinks. The record names keep their
-    // `.ladder` suffix so the BENCH_kernel.json trajectory stays joined.
+    // `.ladder` suffix so bench_guard's expectation rows stay put.
     const std::size_t sweep_ops = opt.smoke ? 20000 : 2000000;
     struct DepthCase {
       const char* name;

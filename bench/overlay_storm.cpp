@@ -11,9 +11,9 @@
 // Headline unit: completed queries per wall second (the overlay layer's
 // end-to-end throughput). Secondary fixed-seed counters ride along so the
 // bench_guard ctest can pin behavior: answers, connect msgs, total overlay
-// msgs received, frames_delivered, events, peak_queue. Records append to
-// BENCH_overlay.json under names "overlay_storm.<alg>_<nodes>" (full
-// scale) / "overlay_storm.<alg>" (--smoke).
+// msgs received, frames_delivered, events, peak_queue. Records are named
+// "overlay_storm.<alg>_<nodes>" (full scale) / "overlay_storm.<alg>"
+// (--smoke).
 //
 // Usage: overlay_storm [--label NAME] [--out FILE] [--smoke] [--repeat N]
 #include <algorithm>

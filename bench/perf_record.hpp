@@ -1,7 +1,8 @@
 // Shared scaffolding for the self-timed perf-regression binaries
-// (bench/hotpath.cpp, bench/aodv_storm.cpp): the JSONL record format that
-// tools/bench.sh appends to BENCH_kernel.json / BENCH_hotpath.json, and
-// the common command-line surface (--label/--out/--smoke/--repeat).
+// (bench/hotpath.cpp, aodv_storm.cpp, overlay_storm.cpp, megascale.cpp,
+// serve_smoke.cpp): the JSONL record format that tools/ab.py and
+// tools/bench_guard.sh read, and the common command-line surface
+// (--label/--out/--smoke/--repeat).
 //
 // Wall time is the only nondeterministic field — workloads are fixed-seed
 // so counters (ops, events, frames_delivered, peak_queue) are reproducible
@@ -35,8 +36,7 @@ struct Options {
   bool smoke = false;    // tiny scale, exercises the JSON path in ctest
   int repeat = 3;        // best-of-N wall time
   // Parallel execution (scenario-level benches only; kernel/microbench
-  // binaries accept and ignore them so tools/bench.sh can pass them
-  // uniformly). sim_threads is pure execution; sim_shards pins the model
+  // binaries accept and ignore them so scripts can pass them uniformly). sim_threads is pure execution; sim_shards pins the model
   // decomposition so thread sweeps compare identical event histories
   // (scenario::Parameters::effective_sim_shards).
   std::size_t sim_threads = 1;
@@ -104,11 +104,8 @@ struct Record {
   std::size_t peak_queue = 0;
   double sim_time_s = 0.0;
   // Execution thread count and pinned shard decomposition of this record.
-  // Emitted only when non-default, so every pre-parallel record (and the
-  // sequential records bench_guard pins) keeps its exact byte layout; a
-  // missing "threads" field means 1. bench.sh --compare refuses to pair
-  // records with different thread counts — a 4-thread throughput beating
-  // a 1-thread baseline is scaling, not a hot-path win.
+  // Emitted only when non-default, so the sequential records bench_guard
+  // pins keep their exact byte layout; a missing "threads" field means 1.
   std::size_t threads = 1;
   std::size_t sim_shards = 0;
 

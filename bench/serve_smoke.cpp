@@ -5,8 +5,8 @@
 // measured loop is exactly the daemon's steady state for repeated
 // identical experiments: JSON parse, config validation, canonical-key
 // hashing, checksummed cache read, response assembly. Record format and
-// flags match the other perf binaries (perf_record.hpp); tools/bench.sh
-// appends the record to BENCH_serve.json.
+// flags match the other perf binaries (perf_record.hpp); the headline is
+// requests_per_sec.
 #include <string>
 
 #include "perf_record.hpp"

@@ -73,13 +73,13 @@ void Network::set_link_blackout(NodeId a, NodeId b, sim::SimTime until) {
   if (blackout_map_.size() >= blackout_purge_at_) purge_expired_blackouts();
   sim::SimTime& end = blackout_map_.get_or_insert(link_key(a, b));
   if (until > end) end = until;
-  if (until > blackout_horizon_) blackout_horizon_ = until;
-  faults_active_ = true;
 }
 
 bool Network::link_blacked_out(const Lane& lane, NodeId a, NodeId b) const {
   // Ledger holds only links that were actually suppressed; absent means
-  // never blacked out.
+  // never blacked out. Written only between windows, so shards read it
+  // race-free.
+  if (blackout_map_.empty()) return false;
   const sim::SimTime* end = blackout_map_.find(link_key(a, b));
   return end != nullptr && *end > lane.sim->now();
 }
@@ -88,18 +88,16 @@ bool Network::link_usable(NodeId a, NodeId b) {
   if (!alive(a) || !alive(b)) return false;
   if (Lane* lane = tls_lane_) {
     if (!sharded_in_range(a, b)) return false;
-    return !(faults_frozen_ && link_blacked_out(*lane, a, b));
+    return !link_blacked_out(*lane, a, b);
   }
   if (!in_range(a, b)) return false;
-  return !(faults_active() && link_blacked_out(base_, a, b));
+  return !link_blacked_out(base_, a, b);
 }
 
 bool Network::channel_lost(sim::RngStream& rng, const geo::Vec2& from,
                            const geo::Vec2& to) {
   double loss_p = params_.mac.loss_probability;
-  // burst_loss_ > 0 implies the fault gate is up (faults_active() in the
-  // sequential path, faults_frozen_ in a window), and only global events
-  // write it, so windows read it race-free.
+  // Only global events write burst_loss_, so windows read it race-free.
   if (burst_loss_ > 0.0) loss_p = 1.0 - (1.0 - loss_p) * (1.0 - burst_loss_);
   bool lost = loss_p > 0.0 && rng.chance(loss_p);
   if (!lost && params_.mac.gray_zone_fraction > 0.0) {
@@ -139,25 +137,21 @@ void Network::refresh_index(sim::SimTime t) {
   index_.refresh(t, scratch_positions_);
 }
 
-void Network::receivers_of(NodeId sender, std::vector<NodeId>* out) {
+void Network::neighbors_of(NodeId id, std::vector<NodeId>* out) {
+  P2P_ASSERT(id < nodes_.size());
+  P2P_ASSERT(out != nullptr);
   const sim::SimTime now = base_.sim->now();
   refresh_index(now);
-  const geo::Vec2 sp = position_of(sender);  // sampled once, reused below
+  const geo::Vec2 sp = position_of(id);  // sampled once, reused below
   index_.candidates_near(sp, now, &base_.scratch_candidates);
   out->clear();
   const double r2 = params_.range * params_.range;
   for (const NodeId cand : base_.scratch_candidates) {
-    if (cand == sender || !alive(cand)) continue;
+    if (cand == id || !alive(cand)) continue;
     if (geo::distance2(sp, position_of(cand)) <= r2) {
       out->push_back(cand);
     }
   }
-}
-
-void Network::neighbors_of(NodeId id, std::vector<NodeId>* out) {
-  P2P_ASSERT(id < nodes_.size());
-  P2P_ASSERT(out != nullptr);
-  receivers_of(id, out);
 }
 
 std::vector<std::vector<NodeId>> Network::adjacency_snapshot() {
@@ -328,9 +322,6 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
   // runs stay bit-identical (asserted by Network.BatchedBroadcastMatches*
   // and the golden fig07 test).
   const double r2 = params_.range * params_.range;
-  // One gate test per transmission: with no active blackout the loop
-  // below does no per-candidate blackout lookup.
-  const bool faulted = faults_active();
   const std::uint32_t batch = acquire_batch(base_);
   for (const NodeId cand : base_.scratch_candidates) {
     if (cand == sender || !alive(cand)) continue;
@@ -338,7 +329,7 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
     if (geo::distance2(sender_pos, rp) > r2) continue;
     // A blacked-out link behaves like out-of-range: silently skipped, no
     // channel draws (keeps draw order fault-free-identical).
-    if (faulted && link_blacked_out(base_, sender, cand)) continue;
+    if (link_blacked_out(base_, sender, cand)) continue;
     if (channel_lost(base_.mac_rng, sender_pos, rp)) {
       ++base_.frames_lost;
       if (observer_ != nullptr) observer_->on_drop(now, sender, cand, bytes);
@@ -380,7 +371,7 @@ void Network::unicast(NodeId sender, NodeId neighbor, FramePayloadPtr payload,
   }
 
   if (!alive(neighbor) || !in_range(sender, neighbor) ||
-      (faults_active() && link_blacked_out(base_, sender, neighbor)) ||
+      link_blacked_out(base_, sender, neighbor) ||
       channel_lost(base_.mac_rng, position_of(sender),
                    position_of(neighbor))) {
     ++base_.frames_lost;
@@ -469,11 +460,6 @@ void Network::exit_shard() noexcept { tls_lane_ = nullptr; }
 void Network::begin_window(sim::SimTime start, sim::SimTime /*end*/) {
   P2P_ASSERT(!lanes_.empty());
   refresh_index(start);
-  // Freeze the fault gate: inside a window faults_active()'s self-clearing
-  // check would read the global clock. Evaluated against the window start,
-  // so every shard sees one consistent answer.
-  faults_frozen_ =
-      faults_active_ && (burst_loss_ > 0.0 || blackout_horizon_ > start);
 }
 
 void Network::end_window(sim::SimTime /*end*/) {
@@ -571,7 +557,6 @@ void Network::sharded_broadcast(Lane& lane, NodeId sender,
   const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
 
   const double r2 = params_.range * params_.range;
-  const bool faulted = faults_frozen_;
   const std::uint32_t my_shard = home_shard_[sender];
   const std::uint32_t batch = acquire_batch(lane);
   lane.tx_out.clear();
@@ -579,7 +564,7 @@ void Network::sharded_broadcast(Lane& lane, NodeId sender,
     if (cand == sender || !alive(cand)) continue;
     const geo::Vec2 rp = index_.cached_position(cand);
     if (geo::distance2(sender_pos, rp) > r2) continue;
-    if (faulted && link_blacked_out(lane, sender, cand)) continue;
+    if (link_blacked_out(lane, sender, cand)) continue;
     if (channel_lost(lane.mac_rng, sender_pos, rp)) {
       ++lane.frames_lost;
       continue;
@@ -636,7 +621,7 @@ void Network::sharded_unicast(Lane& lane, NodeId sender, NodeId neighbor,
   ++lane.frames_tx;
 
   if (!alive(neighbor) || !sharded_in_range(sender, neighbor) ||
-      (faults_frozen_ && link_blacked_out(lane, sender, neighbor)) ||
+      link_blacked_out(lane, sender, neighbor) ||
       channel_lost(lane.mac_rng, index_.cached_position(sender),
                    index_.cached_position(neighbor))) {
     ++lane.frames_lost;

@@ -112,24 +112,8 @@ class Network {
   /// Gilbert-Elliott bad state: extra loss probability composed with the
   /// base MAC loss (p_eff = 1 - (1-p_base)(1-p_burst)); 0 restores the
   /// good state.
-  void set_burst_loss(double p) noexcept {
-    burst_loss_ = p;
-    if (p > 0.0) faults_active_ = true;
-  }
+  void set_burst_loss(double p) noexcept { burst_loss_ = p; }
   double burst_loss() const noexcept { return burst_loss_; }
-
-  /// Single gate for the whole fault subsystem: true only while a loss
-  /// burst is in force or some link blackout can still be active. The
-  /// delivery loops test this once per transmission; while it is false
-  /// they execute the exact pre-fault fast path (no per-candidate blackout
-  /// lookup, no burst compose). Self-clearing: once every blackout end
-  /// time has passed and the burst is off, the flag drops back to false.
-  bool faults_active() noexcept {
-    if (!faults_active_) return false;
-    if (burst_loss_ > 0.0 || blackout_horizon_ > base_.sim->now()) return true;
-    faults_active_ = false;
-    return false;
-  }
 
   /// Can a frame from `a` currently reach `b`? Liveness + range + blackout
   /// in one query — the link-break predicate the routing layer should use
@@ -201,10 +185,9 @@ class Network {
 
   /// Executor hooks (wired by the scenario layer into
   /// sim::ShardedExecutor::Callbacks). begin_window refreshes the spatial
-  /// index so it stays fresh through [start, end) and freezes the fault
-  /// gate; end_window drains every lane's outbox in shard order and
-  /// applies deferred liveness flips. enter/exit_shard bind the calling
-  /// thread's lane context.
+  /// index so it stays fresh through [start, end); end_window drains
+  /// every lane's outbox in shard order and applies deferred liveness
+  /// flips. enter/exit_shard bind the calling thread's lane context.
   void begin_window(sim::SimTime start, sim::SimTime end);
   void end_window(sim::SimTime end);
   void enter_shard(std::size_t shard) noexcept;
@@ -331,7 +314,8 @@ class Network {
   /// lane's stream + half-duplex serialization); advances the node's busy
   /// horizon.
   sim::SimTime schedule_tx(Lane& lane, NodeState& node, double duration);
-  /// Is the (a, b) link blacked out at the lane's clock?
+  /// Is the (a, b) link blacked out at the lane's clock? With an empty
+  /// ledger (no blackout ever set, or all purged) this is one size test.
   bool link_blacked_out(const Lane& lane, NodeId a, NodeId b) const;
   /// BFS over the spatial grid from `a` to `b` on the lane's scratch, with
   /// `pos(id)` supplying positions (fresh or index-cached). Callers have
@@ -363,8 +347,6 @@ class Network {
   /// sub-millimetre extra drift at the defaults, absorbed by the candidate
   /// prune's age-scaled reach.
   void refresh_index(sim::SimTime t);
-  /// Exact in-range receiver set for a transmission from `sender`.
-  void receivers_of(NodeId sender, std::vector<NodeId>* out);
   void deliver(NodeId receiver, const Frame& frame);
   /// Deliver one shared frame to every receiver in the base lane's batch,
   /// in order, then return the receiver list to the pool.
@@ -407,8 +389,8 @@ class Network {
   // by link_key; an absent entry means "never blacked out" (find returns
   // nullptr, equivalent to the old 0.0 sentinel). O(links actually
   // suppressed) — never O(n^2) — so mega-scale runs with localized faults
-  // stay cheap. Fault-free runs pay neither memory nor lookups
-  // (faults_active() gates every consultation). Expired entries need no
+  // stay cheap. Fault-free runs pay neither memory nor lookups (an empty
+  // ledger short-circuits every consultation). Expired entries need no
   // eager eviction (the end-time comparison against now() is the whole
   // query); they are swept opportunistically when the ledger next grows
   // past the purge threshold, which bounds residency at O(peak active).
@@ -416,11 +398,6 @@ class Network {
   std::vector<std::uint64_t> blackout_scratch_;  // purge staging
   std::size_t blackout_purge_at_ = 64;
   double burst_loss_ = 0.0;
-  // Latest end time over every blackout ever set (monotone); with the
-  // burst off, faults_active() compares it against now() to decide when
-  // the fault gate can drop.
-  sim::SimTime blackout_horizon_ = 0.0;
-  bool faults_active_ = false;
 
   NetObserver* observer_ = nullptr;
 
@@ -428,10 +405,6 @@ class Network {
   std::vector<Lane> lanes_;
   std::vector<std::uint32_t> home_shard_;
   FrameCloner cloner_ = nullptr;
-  /// Fault gate frozen for the current window (begin_window): windows must
-  /// not consult the self-clearing faults_active(), whose answer depends
-  /// on the global clock.
-  bool faults_frozen_ = false;
   /// Lane bound to the executing thread between enter_shard/exit_shard;
   /// null outside windows, which routes every dispatching entry point
   /// (broadcast, unicast, pools, in_range, ...) to the sequential path on

@@ -199,8 +199,6 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
           static_cast<std::uint64_t>(p.dsr.discovery_retries));
     }
   }
-  put(os, "churn_rate", p.churn_death_rate_per_hour);
-  put(os, "churn_down", p.churn_down_time);
   // Fault-injection knobs, non-default-only (their defaults are exact
   // behavioral no-ops, so fault-free entries keep their keys).
   {

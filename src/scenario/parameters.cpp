@@ -127,8 +127,6 @@ std::string Parameters::apply(const util::Config& config) {
   get_d("mac_loss_probability", &mac.loss_probability);
   get_d("mac_gray_zone_fraction", &mac.gray_zone_fraction);
   get_d("battery_j", &energy.battery_j);
-  get_d("churn_death_rate_per_hour", &churn_death_rate_per_hour);
-  get_d("churn_down_time", &churn_down_time);
 
   get_d("churn_rate", &fault.churn_rate_per_hour);
   get_d("mean_uptime", &fault.mean_uptime_s);
@@ -185,13 +183,12 @@ std::string Parameters::apply(const util::Config& config) {
     return "mac_gray_zone_fraction must be in [0, 1]";
   }
   if (energy.battery_j <= 0.0) return "battery_j must be > 0";
-  if (churn_death_rate_per_hour < 0.0 || fault.churn_rate_per_hour < 0.0 ||
-      fault.blackout_rate_per_hour < 0.0 || fault.burst_rate_per_hour < 0.0) {
+  if (fault.churn_rate_per_hour < 0.0 || fault.blackout_rate_per_hour < 0.0 ||
+      fault.burst_rate_per_hour < 0.0) {
     return "fault rates must be >= 0";
   }
   if (fault.mean_uptime_s < 0.0 || fault.mean_downtime_s < 0.0 ||
-      fault.blackout_duration_s < 0.0 || fault.burst_duration_s < 0.0 ||
-      churn_down_time < 0.0) {
+      fault.blackout_duration_s < 0.0 || fault.burst_duration_s < 0.0) {
     return "fault durations must be >= 0";
   }
   if (fault.burst_loss_probability < 0.0 ||

@@ -69,12 +69,6 @@ struct Parameters {
   net::EnergyParams energy;
   QualifierDist qualifier_dist = QualifierDist::kUniformPermutation;
 
-  // ---- churn (future-work experiments, §8) ----
-  // Legacy aliases for fault.churn_rate_per_hour / fault.mean_downtime_s;
-  // kept for existing configs, folded into `fault` when it is untouched.
-  double churn_death_rate_per_hour = 0.0;
-  sim::SimTime churn_down_time = 120.0;  // how long a failed node stays down
-
   // ---- fault injection (src/fault: churn, blackouts, loss bursts) ----
   fault::FaultParams fault;
   // Cross-layer invariant sweep interval; 0 disables the checker entirely

@@ -262,17 +262,10 @@ void SimulationRun::build() {
                Sweeper{this, params_.invariant_check_interval_s});
   }
 
-  // Fault injection: churn, link blackouts, loss bursts. The legacy
-  // churn_death_rate_per_hour knob folds into the fault plan when the new
-  // churn fields are untouched.
-  fault::FaultParams fparams = params_.fault;
-  if (!fparams.churn_enabled() && params_.churn_death_rate_per_hour > 0.0) {
-    fparams.churn_rate_per_hour = params_.churn_death_rate_per_hour;
-    fparams.mean_downtime_s = params_.churn_down_time;
-  }
-  if (fparams.enabled()) {
+  // Fault injection: churn, link blackouts, loss bursts.
+  if (params_.fault.enabled()) {
     fault::FaultPlan plan = fault::FaultPlan::compile(
-        fparams, params_.num_nodes, params_.duration_s, rngs_);
+        params_.fault, params_.num_nodes, params_.duration_s, rngs_);
     fault::FaultHooks hooks;
     hooks.on_crash = [this](net::NodeId id) { crash_node(id); };
     hooks.on_recover = [this](net::NodeId id) { recover_node(id); };

@@ -16,8 +16,7 @@ EventId Simulator::after(SimTime delay, EventFn fn) {
 
 std::uint64_t Simulator::run_until(SimTime until) {
   std::uint64_t processed = 0;
-  stopped_ = false;
-  while (!stopped_) {
+  while (true) {
     const SimTime t = queue_.next_time();
     if (t == kTimeNever || t > until) break;
     auto ev = queue_.pop();
@@ -33,8 +32,7 @@ std::uint64_t Simulator::run_until(SimTime until) {
 
 std::uint64_t Simulator::run_window(SimTime end) {
   std::uint64_t processed = 0;
-  stopped_ = false;
-  while (!stopped_) {
+  while (true) {
     const SimTime t = queue_.next_time();
     if (t == kTimeNever || t >= end) break;
     auto ev = queue_.pop();

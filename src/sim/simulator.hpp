@@ -53,11 +53,6 @@ class Simulator {
   /// Run until the queue drains.
   std::uint64_t run() { return run_until(kTimeNever); }
 
-  /// Request an orderly stop from inside an event handler; run_until
-  /// returns after the current handler completes.
-  void stop() noexcept { stopped_ = true; }
-  bool stopped() const noexcept { return stopped_; }
-
   std::uint64_t events_processed() const noexcept { return events_processed_; }
   std::size_t events_pending() const noexcept { return queue_.size(); }
   std::uint64_t events_scheduled() const noexcept { return queue_.total_scheduled(); }
@@ -76,7 +71,6 @@ class Simulator {
  private:
   EventQueue queue_;
   SimTime now_ = kTimeZero;
-  bool stopped_ = false;
   std::uint64_t events_processed_ = 0;
 };
 

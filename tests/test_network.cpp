@@ -324,7 +324,7 @@ struct OrderRecorder final : net::LinkListener {
 
 // The batched arrival event must be observationally identical to the old
 // per-receiver-event baseline: survivors are delivered in receiver order
-// (the order receivers_of() reports), one broadcast after another.
+// (the order neighbors_of() reports), one broadcast after another.
 TEST(Network, BatchedBroadcastMatchesPerReceiverDeliveryOrder) {
   Fixture f;
   const NodeId a = f.add(0, 0);
@@ -456,7 +456,7 @@ TEST(Network, PhysicalHopDistanceGridPathMatchesSnapshotBfs) {
 }
 
 // Inside a shard window the link queries run on the shard's lane over the
-// spatial index's cached positions and the frozen fault gate. On a static
+// spatial index's cached positions and the blackout ledger. On a static
 // world cached positions equal fresh ones, so every pair must get the
 // sequential answer — including a blacked-out link and a dead node.
 TEST(Network, WindowLinkQueriesMatchSequentialOnStaticWorld) {
@@ -570,6 +570,95 @@ TEST(Network, BurstLossComposesWithBaseLoss) {
     ASSERT_EQ(a.net->frames_lost() - a_lost, c.net->frames_lost() - c_lost)
         << "frame " << i;
   }
+}
+
+// A blackout ends at its `until`: from then on the link is usable and a
+// broadcast reaches the peer with the same frames and mac draws as a twin
+// that was never blacked out, on the sequential path and inside a shard
+// window. The expired entry stays in the ledger; only its end time counts.
+TEST(Network, BlackoutEndsAtItsUntil) {
+  struct Twin {
+    sim::Simulator sim;
+    sim::Simulator shard0;
+    sim::Simulator shard1;
+    std::unique_ptr<Network> net;
+    std::vector<std::pair<int, NodeId>> log;
+    std::vector<OrderRecorder> recs;
+    Twin() : recs(4) {
+      NetworkParams params;
+      params.mac.loss_probability = 0.3;
+      net = std::make_unique<Network>(sim, params, sim::RngStream(5));
+      for (NodeId i = 0; i < recs.size(); ++i) {
+        const NodeId id = net->add_node(std::make_unique<mobility::StaticModel>(
+            geo::Vec2{1.5 * i, 0.0}));
+        recs[i].self = id;
+        recs[i].log = &log;
+        net->attach_listener(id, &recs[i]);
+      }
+    }
+    void send(int first, int count) {
+      for (int tag = first; tag < first + count; ++tag) {
+        net->broadcast(0, net::make_payload<const TestPayload>(tag), 64);
+      }
+    }
+    std::size_t reached(NodeId id) const {
+      return static_cast<std::size_t>(std::count_if(
+          log.begin(), log.end(), [id](const auto& e) { return e.second == id; }));
+    }
+  };
+  constexpr int kFrames = 30;
+  Twin a;
+  Twin b;  // never blacked out
+  a.net->set_link_blackout(0, 1, 5.0);
+  EXPECT_FALSE(a.net->link_usable(0, 1));
+  a.sim.run_until(5.0);
+  b.sim.run_until(5.0);
+  EXPECT_TRUE(a.net->link_usable(0, 1));
+  a.send(0, kFrames);
+  b.send(0, kFrames);
+  a.sim.run();
+  b.sim.run();
+  EXPECT_GT(a.reached(1), 0U);
+  EXPECT_EQ(a.log, b.log);
+  EXPECT_EQ(a.net->frames_lost(), b.net->frames_lost());
+
+  // Inside a window: the blackout holds in the window before its end and is
+  // gone in the window that starts at it. Sharding precedes any traffic,
+  // so the windowed twins are fresh. Every node lives on shard 0: no frame
+  // crosses shards and the cloner is never called.
+  Twin c;
+  Twin d;  // never blacked out
+  for (Twin* t : {&c, &d}) {
+    std::vector<sim::RngStream> rngs;
+    rngs.emplace_back(11);
+    rngs.emplace_back(12);
+    t->net->enable_sharding({&t->shard0, &t->shard1},
+                            std::vector<std::uint32_t>(t->recs.size(), 0),
+                            std::move(rngs),
+                            [](const FramePayload&, net::PayloadPools&) {
+                              return net::FramePayloadPtr();
+                            });
+  }
+  c.net->set_link_blackout(0, 1, 5.0);
+  for (Twin* t : {&c, &d}) {
+    t->net->begin_window(0.0, 5.0);
+    t->net->enter_shard(0);
+    EXPECT_EQ(t->net->link_usable(0, 1), t == &d);
+    t->net->exit_shard();
+    t->net->end_window(5.0);
+
+    t->shard0.run_until(5.0);
+    t->net->begin_window(5.0, 10.0);
+    t->net->enter_shard(0);
+    EXPECT_TRUE(t->net->link_usable(0, 1));
+    t->send(0, kFrames);
+    t->shard0.run_window(10.0);
+    t->net->exit_shard();
+    t->net->end_window(10.0);
+  }
+  EXPECT_GT(c.reached(1), 0U);
+  EXPECT_EQ(c.log, d.log);
+  EXPECT_EQ(c.net->frames_lost(), d.net->frames_lost());
 }
 
 // ---- NeighborIndex steady-state allocation lock-in ------------------------

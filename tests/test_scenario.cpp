@@ -287,8 +287,8 @@ TEST(SimulationRun, RunsUnderEveryMobilityModel) {
 
 TEST(SimulationRun, ChurnKillsAndRevivesNodes) {
   Parameters params = tiny_scenario(core::AlgorithmKind::kRegular);
-  params.churn_death_rate_per_hour = 30.0;  // ~2.5 deaths/node over 300 s
-  params.churn_down_time = 20.0;
+  params.fault.churn_rate_per_hour = 30.0;  // ~2.5 deaths/node over 300 s
+  params.fault.mean_downtime_s = 20.0;
   const auto result = SimulationRun(params).run();
   EXPECT_GT(result.churn_deaths, 0U);
   // The network survives: frames still flow and invariants held (no
@@ -301,11 +301,16 @@ TEST(Parameters, MobilityAndRoutingOverrides) {
   util::Config config;
   config.set("mobility", "gauss_markov");
   config.set("routing_protocol", "dsdv");
-  config.set("churn_death_rate_per_hour", "5");
   EXPECT_EQ(params.apply(config), "");
   EXPECT_EQ(params.mobility_kind, scenario::MobilityKind::kGaussMarkov);
   EXPECT_EQ(params.routing_protocol, scenario::RoutingProtocol::kDsdv);
-  EXPECT_DOUBLE_EQ(params.churn_death_rate_per_hour, 5.0);
+
+  // The legacy churn aliases are gone; churn is set through churn_rate /
+  // mean_downtime like every other fault knob.
+  util::Config legacy;
+  legacy.set("churn_death_rate_per_hour", "5");
+  EXPECT_EQ(Parameters{}.apply(legacy),
+            "unknown key: churn_death_rate_per_hour");
 
   util::Config bad;
   bad.set("mobility", "teleport");
@@ -324,7 +329,7 @@ TEST(Cache, KeyChangesWithNewKnobs) {
   c.mobility_kind = scenario::MobilityKind::kGaussMarkov;
   EXPECT_NE(scenario::cache_key(a, 3), scenario::cache_key(c, 3));
   Parameters d = a;
-  d.churn_death_rate_per_hour = 1.0;
+  d.fault.churn_rate_per_hour = 1.0;
   EXPECT_NE(scenario::cache_key(a, 3), scenario::cache_key(d, 3));
 }
 

@@ -64,19 +64,6 @@ TEST(Simulator, RunUntilAdvancesClockToHorizonEvenWithoutEvents) {
   EXPECT_DOUBLE_EQ(sim.now(), 42.0);
 }
 
-TEST(Simulator, StopFromHandlerHaltsProcessing) {
-  Simulator sim;
-  int fired = 0;
-  sim.at(1.0, [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.at(2.0, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.events_pending(), 1U);
-}
-
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
   bool fired = false;
