@@ -9,8 +9,8 @@ namespace p2p::fault {
 
 namespace {
 constexpr const char* kTag = "invariant";
-// Recording cap: a genuinely broken build could report per delivery; keep
-// the vector bounded while the total count stays exact.
+// Recording cap: a genuinely broken build could report per node per sweep;
+// keep the vector bounded while the total count stays exact.
 constexpr std::size_t kMaxRecorded = 1024;
 
 std::uint64_t edge_key(net::NodeId a, net::NodeId b) noexcept {
@@ -20,7 +20,6 @@ std::uint64_t edge_key(net::NodeId a, net::NodeId b) noexcept {
 
 const char* invariant_kind_name(InvariantKind kind) noexcept {
   switch (kind) {
-    case InvariantKind::kDeliveryToDeadNode: return "delivery-to-dead-node";
     case InvariantKind::kAsymmetricOverlayEdge: return "asymmetric-overlay-edge";
     case InvariantKind::kStaleRouteToDeadNeighbor:
       return "stale-route-to-dead-neighbor";
@@ -65,23 +64,6 @@ void InvariantChecker::report(sim::SimTime time, net::NodeId node,
     violations_.push_back({time, node, kind, std::move(detail)});
   }
 }
-
-// ---------------------------------------------------------------- online
-
-void InvariantChecker::on_transmit(double /*time*/, net::NodeId /*node*/,
-                                   net::NodeId /*dst*/, std::size_t /*bytes*/) {}
-
-void InvariantChecker::on_deliver(double time, net::NodeId node,
-                                  net::NodeId sender, std::size_t /*bytes*/) {
-  if (!net_->alive(node)) {
-    std::ostringstream os;
-    os << "frame from " << sender << " delivered to dead node";
-    report(time, node, InvariantKind::kDeliveryToDeadNode, os.str());
-  }
-}
-
-void InvariantChecker::on_drop(double /*time*/, net::NodeId /*sender*/,
-                               net::NodeId /*dst*/, std::size_t /*bytes*/) {}
 
 // ---------------------------------------------------------------- sweeps
 

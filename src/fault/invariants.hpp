@@ -1,23 +1,27 @@
 // Cross-layer invariant checker — the correctness oracle for faulted (and
 // unfaulted) runs.
 //
-// Five invariant classes, validated on a configurable interval and at
-// every fault boundary:
-//   1. no frame is ever delivered to a dead node (checked online via the
-//      NetObserver hook — the network filters dead receivers, so a report
-//      here means that filter broke);
-//   2. overlay connection symmetry: a non-Basic connection held by A
+// Four invariant classes, validated by a full sweep on a configurable
+// interval and at every fault boundary:
+//   1. overlay connection symmetry: a non-Basic connection held by A
 //      toward B implies B holds one toward A, modulo a grace window (a
 //      silent close is only noticed by the peer's silence timeout);
-//   3. routing-table entries never point at a long-dead next hop with an
+//   2. routing-table entries never point at a long-dead next hop with an
 //      expiry no legitimate refresh could have produced (reverse traffic
 //      from the destination may keep re-arming a route whose next hop is
 //      dead — that self-heals on first use — but every refresh is bounded
 //      by the route-lifetime constants, so an expiry further out than that
 //      bound on a route through a long-dead neighbor is corruption);
-//   4. dup-cache internal consistency: insertion times never exceed the
+//   3. dup-cache internal consistency: insertion times never exceed the
 //      current time and the expiry FIFO stays time-ordered;
-//   5. per-node consumed energy is monotonically non-decreasing.
+//   4. per-node consumed energy is monotonically non-decreasing.
+//
+// Sweeps and the note_node_down/up hooks run as events on the run's global
+// simulator. In sharded runs (sim/sharded.hpp) those execute alone with
+// every shard quiesced, so the checker reads a consistent world on the
+// sequential and the sharded path alike. Delivery to dead nodes is not an
+// invariant here: Network::deliver filters dead receivers itself, and
+// tests/test_network.cpp pins that filter on both paths.
 //
 // The checker is observational: it never mutates simulation state, so
 // enabling it cannot change message/energy metrics (it does add sweep
@@ -41,7 +45,6 @@
 namespace p2p::fault {
 
 enum class InvariantKind : std::uint8_t {
-  kDeliveryToDeadNode,
   kAsymmetricOverlayEdge,
   kStaleRouteToDeadNeighbor,
   kDupCacheCorrupt,
@@ -53,7 +56,7 @@ const char* invariant_kind_name(InvariantKind kind) noexcept;
 struct Violation {
   sim::SimTime time = 0.0;
   net::NodeId node = net::kInvalidNode;
-  InvariantKind kind = InvariantKind::kDeliveryToDeadNode;
+  InvariantKind kind = InvariantKind::kAsymmetricOverlayEdge;
   std::string detail;  // human-readable context (peer, age, ...)
 };
 
@@ -73,7 +76,7 @@ struct InvariantConfig {
   double route_lifetime_bound_s = 30.0;
 };
 
-class InvariantChecker final : public net::NetObserver {
+class InvariantChecker {
  public:
   explicit InvariantChecker(net::Network& network,
                             const InvariantConfig& config = {});
@@ -87,7 +90,7 @@ class InvariantChecker final : public net::NetObserver {
   void note_node_down(net::NodeId id, sim::SimTime now);
   void note_node_up(net::NodeId id, sim::SimTime now);
 
-  /// Full cross-layer sweep (invariants 2-5) at the current time.
+  /// Full cross-layer sweep (every invariant) at the current time.
   void sweep(sim::SimTime now);
 
   // ---- per-invariant checks. sweep() drives these; they are public so
@@ -95,14 +98,6 @@ class InvariantChecker final : public net::NetObserver {
   void check_dup_cache(net::NodeId node, const net::DupCache& cache,
                        sim::SimTime now);
   void check_energy(net::NodeId node, double consumed_j, sim::SimTime now);
-
-  // ---- NetObserver (invariant 1, online) ----
-  void on_transmit(double time, net::NodeId node, net::NodeId dst,
-                   std::size_t bytes) override;
-  void on_deliver(double time, net::NodeId node, net::NodeId sender,
-                  std::size_t bytes) override;
-  void on_drop(double time, net::NodeId sender, net::NodeId dst,
-               std::size_t bytes) override;
 
   /// Recorded violations (capped; see violations_total for the count).
   const std::vector<Violation>& violations() const noexcept {
@@ -136,7 +131,7 @@ class InvariantChecker final : public net::NetObserver {
   std::unordered_map<net::NodeId, sim::SimTime> last_up_;
   // First time a one-sided directed edge (a->b) was observed.
   std::unordered_map<std::uint64_t, sim::SimTime> asym_since_;
-  // Last consumed_j per node (invariant 5).
+  // Last consumed_j per node (invariant 4).
   std::vector<double> last_energy_;
 
   std::vector<Violation> violations_;

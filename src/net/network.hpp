@@ -113,7 +113,6 @@ class Network {
   /// base MAC loss (p_eff = 1 - (1-p_base)(1-p_burst)); 0 restores the
   /// good state.
   void set_burst_loss(double p) noexcept { burst_loss_ = p; }
-  double burst_loss() const noexcept { return burst_loss_; }
 
   /// Can a frame from `a` currently reach `b`? Liveness + range + blackout
   /// in one query — the link-break predicate the routing layer should use
@@ -168,11 +167,6 @@ class Network {
                        std::vector<std::uint32_t> home_shard,
                        std::vector<sim::RngStream> mac_rngs,
                        FrameCloner cloner);
-  bool sharded() const noexcept { return !lanes_.empty(); }
-  std::uint32_t home_shard(NodeId id) const noexcept {
-    P2P_ASSERT(id < home_shard_.size());
-    return home_shard_[id];
-  }
   /// Index of the lane bound to the calling thread, or kNoShard outside a
   /// window — lets upper layers keep per-shard accumulators for state that
   /// servents in different lanes would otherwise write concurrently.

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -41,6 +42,21 @@ void write_curve(std::ostream& os, const char* name,
     write_stat(os, s);
     os << '\n';
   }
+}
+
+// The per-run stats after the rank block, in entry order. store_cached
+// writes every one; an entry missing any of them is a miss.
+template <typename Result>
+auto run_stats(Result& r) {
+  return std::array{&r.frames_transmitted,    &r.energy_consumed_j,
+                    &r.routing_control,       &r.overlay_clustering,
+                    &r.overlay_path_length,   &r.overlay_components,
+                    &r.masters,               &r.slaves,
+                    &r.events_processed,      &r.connections_established,
+                    &r.connections_closed,    &r.churn_deaths,
+                    &r.query_success_rate,    &r.overlay_disrupted_s,
+                    &r.mean_repair_time_s,    &r.orphaned_servents,
+                    &r.invariant_violations};
 }
 
 bool read_curve(std::istream& is, const std::string& expect_name,
@@ -141,8 +157,12 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
   // bit-identical to v10, but AODV runs at <= 2048 nodes used dense
   // dst-indexed slots, so v10 entries would replay their
   // routing_memory_bytes (a serialized stat). FlatMap also stopped growing
-  // on a hit, which trims FlatMap-backed memory stats at any size.
-  os << "code-v11\n";
+  // on a hit, which trims FlatMap-backed memory stats at any size. v12:
+  // the invariant checker is sweep-only — traffic and energy are
+  // bit-identical to v11, but finite-battery runs with the checker on
+  // reported false delivery-to-dead-node violations, and
+  // invariant_violations is a serialized stat.
+  os << "code-v12\n";
   put(os, "area_width", p.area_width);
   put(os, "area_height", p.area_height);
   put(os, "radio_range", p.radio_range);
@@ -310,35 +330,8 @@ bool load_cached(const Parameters& params, std::size_t num_seeds,
     if (!read_stat(is, &rank.min_p2p_hops)) return false;
     if (!read_stat(is, &rank.answered_fraction)) return false;
   }
-  for (auto* stat :
-       {&r.frames_transmitted, &r.energy_consumed_j, &r.routing_control,
-        &r.overlay_clustering, &r.overlay_path_length, &r.overlay_components,
-        &r.masters, &r.slaves, &r.events_processed}) {
+  for (auto* stat : run_stats(r)) {
     if (!read_stat(is, stat)) return false;
-  }
-  // Optional trailing stats (added after the v4 format shipped); absent in
-  // older entries, which simply report zero reconfiguration telemetry.
-  if (!read_stat(is, &r.connections_established)) {
-    r.connections_established = stats::RunningStat{};
-    r.connections_closed = stats::RunningStat{};
-  } else if (!read_stat(is, &r.connections_closed)) {
-    r.connections_closed = stats::RunningStat{};
-  }
-  // Churn-metric block (code-v8); all-or-nothing, empty when absent.
-  {
-    stats::RunningStat* churn_stats[] = {
-        &r.churn_deaths,       &r.query_success_rate, &r.overlay_disrupted_s,
-        &r.mean_repair_time_s, &r.orphaned_servents,  &r.invariant_violations};
-    bool complete = true;
-    for (auto* stat : churn_stats) {
-      if (!read_stat(is, stat)) {
-        complete = false;
-        break;
-      }
-    }
-    if (!complete) {
-      for (auto* stat : churn_stats) *stat = stats::RunningStat{};
-    }
   }
   *result = std::move(r);
   return true;
@@ -363,15 +356,7 @@ void store_cached(const Parameters& params, std::size_t num_seeds,
     write_stat(os, rank.answered_fraction);
     os << '\n';
   }
-  for (const auto* stat :
-       {&result.frames_transmitted, &result.energy_consumed_j,
-        &result.routing_control, &result.overlay_clustering,
-        &result.overlay_path_length, &result.overlay_components,
-        &result.masters, &result.slaves, &result.events_processed,
-        &result.connections_established, &result.connections_closed,
-        &result.churn_deaths, &result.query_success_rate,
-        &result.overlay_disrupted_s, &result.mean_repair_time_s,
-        &result.orphaned_servents, &result.invariant_violations}) {
+  for (const auto* stat : run_stats(result)) {
     write_stat(os, *stat);
     os << '\n';
   }

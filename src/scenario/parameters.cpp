@@ -203,10 +203,6 @@ std::string Parameters::apply(const util::Config& config) {
   if (fault.crash_run_enabled() && effective_sim_shards() > 1) {
     return "crash_run_at requires sequential execution (sim_shards <= 1)";
   }
-  if (invariant_check_interval_s > 0.0 && effective_sim_shards() > 1) {
-    return "invariant_check_interval requires sequential execution "
-           "(sim_shards <= 1; sim_shards = 0 shards when sim_threads > 1)";
-  }
   return {};
 }
 

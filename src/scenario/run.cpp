@@ -32,10 +32,6 @@ void SimulationRun::build() {
 
   num_shards_ = params_.effective_sim_shards();
   if (num_shards_ > 1) {
-    // The invariant checker is a per-frame NetObserver — incompatible with
-    // concurrent lanes (see Network::set_observer).
-    P2P_ASSERT_MSG(params_.invariant_check_interval_s == 0.0,
-                   "invariant checker requires sim_shards == 1");
     shard_sims_.reserve(num_shards_);
     for (std::size_t s = 0; s < num_shards_; ++s) {
       shard_sims_.push_back(std::make_unique<sim::Simulator>());
@@ -239,7 +235,8 @@ void SimulationRun::build() {
   }
   crashed_member_.assign(params_.num_nodes, 0);
 
-  // Invariant checker (off by default; observational only).
+  // Invariant checker (off by default; observational only). Its sweeps
+  // run on the global simulator, so sharded runs sweep a quiesced world.
   if (params_.invariant_check_interval_s > 0.0) {
     checker_ = std::make_unique<fault::InvariantChecker>(*network_);
     for (auto& servent : servents_) checker_->add_servent(servent.get());
@@ -249,7 +246,6 @@ void SimulationRun::build() {
       }
     }
     for (auto& flood : flood_) checker_->add_flood(flood.get());
-    network_->set_observer(checker_.get());
     struct Sweeper {
       SimulationRun* run;
       double interval;

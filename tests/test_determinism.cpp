@@ -22,6 +22,7 @@
 #include "scenario/experiment.hpp"
 #include "scenario/run.hpp"
 #include "scenario/telemetry.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -295,6 +296,17 @@ TEST_F(CacheDirTest, TruncatedCacheFileIsAMiss) {
   std::string flipped = full;
   flipped[full.size() - 2] = flipped[full.size() - 2] == '1' ? '2' : '1';
   std::ofstream(path, std::ios::trunc) << flipped;
+  EXPECT_FALSE(scenario::load_cached(params, 2, &loaded));
+  // A checksum-valid payload that lacks stats is a miss too, not a load
+  // with the missing stats zeroed: drop the last 8 stat lines and
+  // re-checksum.
+  const std::string payload = full.substr(full.find('\n') + 1);
+  std::size_t cut = payload.size() - 1;  // the final newline
+  for (int line = 0; line < 8; ++line) cut = payload.rfind('\n', cut - 1);
+  const std::string shortened = payload.substr(0, cut + 1);
+  std::ofstream(path, std::ios::trunc)
+      << "p2pmanet-cache v2 " << std::hex << sim::fnv1a(shortened) << '\n'
+      << shortened;
   EXPECT_FALSE(scenario::load_cached(params, 2, &loaded));
 }
 

@@ -2,8 +2,8 @@
 // deliberately corrupt state and assert every violation class is reported
 // with node/time context; prove the checker is observational (zero
 // violations and bit-identical traffic on the golden fig07 run); prove
-// registered faults (crash + rebirth announced through the note hooks) do
-// not count as violations.
+// registered faults (crash + rebirth announced through the note hooks) and
+// battery deaths do not count as violations.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -38,30 +38,7 @@ const Violation* first_of_kind(const InvariantChecker& checker,
   return nullptr;
 }
 
-// ------------------------------------------------ 1: delivery to dead node
-
-TEST(Invariants, ReportsDeliveryToDeadNode) {
-  p2ptest::World world;
-  world.add_node(10.0, 10.0);
-  world.add_node(15.0, 10.0);
-  InvariantChecker checker(world.network());
-
-  world.network().set_failed(1, true);
-  checker.on_deliver(5.0, /*node=*/1, /*sender=*/0, 100);
-
-  ASSERT_EQ(checker.violations_total(), 1U);
-  const Violation& v = checker.violations()[0];
-  EXPECT_EQ(v.kind, InvariantKind::kDeliveryToDeadNode);
-  EXPECT_EQ(v.node, 1U);
-  EXPECT_EQ(v.time, 5.0);
-  EXPECT_NE(v.detail.find("dead"), std::string::npos);
-
-  // Deliveries to live nodes are fine.
-  checker.on_deliver(6.0, /*node=*/0, /*sender=*/1, 100);
-  EXPECT_EQ(checker.violations_total(), 1U);
-}
-
-// ------------------------------------------------ 2: overlay asymmetry
+// ------------------------------------------------ 1: overlay asymmetry
 
 TEST(Invariants, ReportsAsymmetricOverlayEdge) {
   p2ptest::World world;
@@ -120,7 +97,7 @@ TEST(Invariants, RegisteredRebirthExplainsOneSidedEdge) {
   EXPECT_EQ(count_kind(checker, InvariantKind::kAsymmetricOverlayEdge), 0U);
 }
 
-// ------------------------------------------------ 3: stale route
+// ------------------------------------------------ 2: stale route
 
 TEST(Invariants, ReportsStaleRouteToDeadNeighbor) {
   p2ptest::World world;
@@ -154,7 +131,7 @@ TEST(Invariants, ReportsStaleRouteToDeadNeighbor) {
   EXPECT_EQ(checker.violations_total(), before);
 }
 
-// ------------------------------------------------ 4: dup-cache corruption
+// ------------------------------------------------ 3: dup-cache corruption
 
 TEST(Invariants, ReportsDupCacheCorruption) {
   p2ptest::World world;
@@ -176,7 +153,7 @@ TEST(Invariants, ReportsDupCacheCorruption) {
   EXPECT_EQ(count_kind(checker, InvariantKind::kDupCacheCorrupt), 1U);
 }
 
-// ------------------------------------------------ 5: energy monotonicity
+// ------------------------------------------------ 4: energy monotonicity
 
 TEST(Invariants, ReportsEnergyDecrease) {
   p2ptest::World world;
@@ -218,6 +195,29 @@ TEST(Invariants, CleanAndObservationalOnGoldenFig07Run) {
   EXPECT_EQ(r.frames_lost, 0U);
   EXPECT_EQ(r.data_delivered, 1119U);
   EXPECT_EQ(r.energy_consumed_j, 6.1527955000001038);
+}
+
+// Finite batteries: nodes die mid-run, some on the very receive that
+// empties their battery (that frame is still delivered, see
+// Network.FrameThatEmptiesBatteryIsTheLastDelivered). A battery death is
+// no violation, and the sweeps pick the dead up for the stale-route clock.
+TEST(Invariants, CleanOnFiniteBatteryRun) {
+  scenario::Parameters params;
+  params.num_nodes = 50;
+  params.duration_s = 600.0;
+  params.seed = 1;
+  params.energy.battery_j = 0.1;
+  params.invariant_check_interval_s = 30.0;
+  scenario::SimulationRun run(params);
+  const scenario::RunResult r = run.run();
+
+  std::size_t dead = 0;
+  for (net::NodeId id = 0; id < params.num_nodes; ++id) {
+    if (!run.network().alive(id)) ++dead;
+  }
+  ASSERT_GT(dead, 0U);
+  EXPECT_EQ(r.invariant_violations, 0U);
+  EXPECT_EQ(run.invariant_checker()->sweeps_run(), 20U);
 }
 
 }  // namespace

@@ -196,6 +196,37 @@ TEST(Network, FailedNodeNeitherSendsNorReceives) {
   EXPECT_EQ(f.received(b), 1U);
 }
 
+// Sequential liveness is tested before the receive is charged: the frame
+// whose receive cost empties a battery still reaches the listeners, and
+// the node is down for every later frame.
+TEST(Network, FrameThatEmptiesBatteryIsTheLastDelivered) {
+  Fixture f;
+  const NodeId a = f.add(0, 0);
+  net::EnergyParams energy;
+  const double rx_cost = energy.rx_base_j + 100 * energy.rx_per_byte_j;
+  energy.battery_j = 1.5 * rx_cost;
+  const NodeId b = f.net->add_node(
+      std::make_unique<mobility::StaticModel>(geo::Vec2{5, 0}), energy);
+  f.recorders.push_back(std::make_unique<Recorder>());
+  f.net->attach_listener(b, f.recorders.back().get());
+
+  f.net->broadcast(a, net::make_payload<const TestPayload>(1), 100);
+  f.sim.run();
+  EXPECT_EQ(f.received(b), 1U);
+  EXPECT_TRUE(f.net->alive(b));
+
+  f.net->broadcast(a, net::make_payload<const TestPayload>(2), 100);
+  f.sim.run();
+  EXPECT_EQ(f.received(b), 2U);  // this receive emptied the battery
+  EXPECT_FALSE(f.net->alive(b));
+
+  f.net->broadcast(a, net::make_payload<const TestPayload>(3), 100);
+  f.sim.run();
+  EXPECT_EQ(f.received(b), 2U);
+  EXPECT_EQ(f.net->energy(b).frames_received(), 2U);
+  EXPECT_EQ(f.net->frames_delivered(), 2U);
+}
+
 TEST(Network, EnergyChargedForTxAndRx) {
   Fixture f;
   const NodeId a = f.add(0, 0);
@@ -659,6 +690,64 @@ TEST(Network, BlackoutEndsAtItsUntil) {
   EXPECT_GT(c.reached(1), 0U);
   EXPECT_EQ(c.log, d.log);
   EXPECT_EQ(c.net->frames_lost(), d.net->frames_lost());
+}
+
+// Inside shard windows a receiver's liveness is read at delivery. A node
+// failed at the barrier after a frame was sent, before the window that
+// delivers it, receives nothing: neither on the sender's lane nor through
+// the outbox from another shard. Live receivers on both lanes are the
+// control.
+TEST(Network, WindowedDeliverySkipsNodesFailedBeforeTheWindow) {
+  Fixture f;
+  const NodeId sender = f.add(0, 0);
+  const NodeId same_dead = f.add(2, 0);
+  const NodeId same_live = f.add(4, 0);
+  const NodeId cross_dead = f.add(0, 2);
+  const NodeId cross_live = f.add(0, 4);
+  sim::Simulator shard0;
+  sim::Simulator shard1;
+  std::vector<sim::RngStream> rngs;
+  rngs.emplace_back(11);
+  rngs.emplace_back(12);
+  f.net->enable_sharding(
+      {&shard0, &shard1}, {0, 0, 0, 1, 1}, std::move(rngs),
+      [](const FramePayload& src, net::PayloadPools&) -> net::FramePayloadPtr {
+        return net::make_payload<const TestPayload>(
+            static_cast<const TestPayload&>(src).tag);
+      });
+
+  // Window 1: the sender transmits while every receiver is alive.
+  const double lookahead = net::min_frame_latency(f.params.mac);
+  f.net->begin_window(0.0, lookahead);
+  f.net->enter_shard(0);
+  f.net->broadcast(sender, net::make_payload<const TestPayload>(1), 64);
+  f.net->unicast(sender, same_dead, net::make_payload<const TestPayload>(2),
+                 64);
+  f.net->unicast(sender, cross_dead, net::make_payload<const TestPayload>(3),
+                 64);
+  f.net->exit_shard();
+  f.net->end_window(lookahead);
+
+  // Barrier: two receivers fail, as a global fault event would fail them.
+  f.net->set_failed(same_dead, true);
+  f.net->set_failed(cross_dead, true);
+
+  // Window 2 delivers everything window 1 sent.
+  f.net->begin_window(lookahead, 1.0);
+  for (sim::Simulator* shard : {&shard0, &shard1}) {
+    f.net->enter_shard(shard == &shard0 ? 0 : 1);
+    shard->run_window(1.0);
+    f.net->exit_shard();
+  }
+  f.net->end_window(1.0);
+
+  EXPECT_EQ(f.received(same_dead), 0U);
+  EXPECT_EQ(f.received(cross_dead), 0U);
+  EXPECT_EQ(f.received(same_live), 1U);
+  EXPECT_EQ(f.received(cross_live), 1U);
+  EXPECT_EQ(f.net->frames_delivered(), 2U);
+  EXPECT_EQ(f.net->energy(same_dead).frames_received(), 0U);
+  EXPECT_EQ(f.net->energy(cross_dead).frames_received(), 0U);
 }
 
 // ---- NeighborIndex steady-state allocation lock-in ------------------------

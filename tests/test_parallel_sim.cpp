@@ -144,10 +144,14 @@ void expect_run_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.queue_peak_raw, b.queue_peak_raw);
 }
 
-RunResult run_with_threads(Parameters params, std::size_t threads) {
+// `sweeps`, when given, receives the invariant checker's sweep count.
+RunResult run_with_threads(Parameters params, std::size_t threads,
+                           std::uint64_t* sweeps = nullptr) {
   params.sim_threads = threads;
   scenario::SimulationRun run(params);
-  return run.run();
+  RunResult result = run.run();
+  if (sweeps != nullptr) *sweeps = run.invariant_checker()->sweeps_run();
+  return result;
 }
 
 Parameters town_scenario() {
@@ -212,6 +216,9 @@ TEST(ParallelSim, TownRunBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.energy_consumed_j, kPinned.energy_j);
 }
 
+// The invariant checker is on: its sweeps and fault-boundary hooks run as
+// global events with every shard quiesced, so they see the same world and
+// report the same (empty) violation list at any thread count.
 TEST(ParallelSim, TownRunFaultedBitIdenticalAcrossThreadCounts) {
   Parameters params = town_scenario();
   params.fault.churn_rate_per_hour = 60.0;
@@ -219,10 +226,16 @@ TEST(ParallelSim, TownRunFaultedBitIdenticalAcrossThreadCounts) {
   params.fault.blackout_rate_per_hour = 30.0;
   params.fault.burst_rate_per_hour = 20.0;
   params.fault.burst_duration_s = 5.0;
-  const RunResult one = run_with_threads(params, 1);
-  const RunResult four = run_with_threads(params, 4);
+  params.invariant_check_interval_s = 25.0;
+  std::uint64_t sweeps_one = 0;
+  std::uint64_t sweeps_four = 0;
+  const RunResult one = run_with_threads(params, 1, &sweeps_one);
+  const RunResult four = run_with_threads(params, 4, &sweeps_four);
   ASSERT_GT(one.churn_deaths, 0u);
   expect_run_identical(one, four);
+  EXPECT_EQ(one.invariant_violations, 0u);
+  EXPECT_GT(sweeps_one, 0u);
+  EXPECT_EQ(sweeps_one, sweeps_four);
 }
 
 TEST(ParallelSim, CrowdRunBitIdenticalAcrossThreadCounts) {

@@ -164,29 +164,24 @@ TEST(Parameters, CrashRunAtRequiresSequentialExecution) {
   EXPECT_TRUE(params.fault.crash_run_enabled());
 }
 
-// The invariant checker is a per-frame observer, which sharded lanes do not
-// support: apply() must refuse the combination instead of letting build()
-// abort — including the implicit shards that sim_threads > 1 selects.
-TEST(Parameters, InvariantCheckRequiresSequentialExecution) {
+// The invariant checker only sweeps, on the global simulator, so sharded
+// execution accepts it — including the implicit shards that
+// sim_threads > 1 selects.
+TEST(Parameters, InvariantCheckAcceptsShardedExecution) {
   util::Config sharded;
   sharded.set("invariant_check_interval", "5");
   sharded.set("sim_shards", "4");
-  const std::string err = Parameters{}.apply(sharded);
-  EXPECT_NE(err.find("invariant_check_interval"), std::string::npos) << err;
-  EXPECT_NE(err.find("sim_shards"), std::string::npos) << err;
+  Parameters params;
+  EXPECT_EQ(params.apply(sharded), "");
+  EXPECT_DOUBLE_EQ(params.invariant_check_interval_s, 5.0);
+  EXPECT_EQ(params.effective_sim_shards(), 4U);
 
   util::Config threaded;
   threaded.set("invariant_check_interval", "5");
   threaded.set("sim_threads", "2");
-  EXPECT_NE(Parameters{}.apply(threaded), "");
-
-  util::Config sequential;
-  sequential.set("invariant_check_interval", "5");
-  sequential.set("sim_shards", "1");
-  sequential.set("sim_threads", "2");
-  Parameters params;
-  EXPECT_EQ(params.apply(sequential), "");
-  EXPECT_DOUBLE_EQ(params.invariant_check_interval_s, 5.0);
+  Parameters implicit;
+  EXPECT_EQ(implicit.apply(threaded), "");
+  EXPECT_GT(implicit.effective_sim_shards(), 1U);
 }
 
 TEST(Parameters, SummaryMentionsKeyFacts) {

@@ -237,7 +237,7 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrors) {
       {"{\"config\":{\"num_nodes\":[5]}}", "\"code\":\"bad_request\""},
       // Would abort the worker in build() if apply() let it through.
       {"{\"config\":{\"num_nodes\":30,\"duration_s\":20,"
-       "\"invariant_check_interval\":5,\"sim_threads\":2},\"seeds\":[1]}",
+       "\"crash_run_at\":10,\"sim_threads\":2},\"seeds\":[1]}",
        "\"code\":\"bad_config\""},
   };
 
