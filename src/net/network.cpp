@@ -57,13 +57,8 @@ void Network::set_failed(NodeId id, bool failed) {
 
 void Network::purge_expired_blackouts() {
   const sim::SimTime now = base_.sim->now();
-  blackout_scratch_.clear();
-  blackout_map_.for_each([&](std::uint64_t link, sim::SimTime end) {
-    if (end <= now) blackout_scratch_.push_back(link);
-  });
-  for (const std::uint64_t link : blackout_scratch_) {
-    blackout_map_.erase(link);
-  }
+  blackout_map_.erase_if(
+      [now](std::uint64_t, sim::SimTime end) { return end <= now; });
   blackout_purge_at_ = std::max<std::size_t>(64, blackout_map_.size() * 2);
 }
 
@@ -413,8 +408,7 @@ std::size_t Network::memory_bytes() const noexcept {
                       down_.capacity() * sizeof(std::uint8_t) +
                       index_.memory_bytes() +
                       scratch_positions_.capacity() * sizeof(geo::Vec2) +
-                      blackout_map_.memory_bytes() +
-                      blackout_scratch_.capacity() * sizeof(std::uint64_t);
+                      blackout_map_.memory_bytes();
   for (const auto& node : nodes_) {
     bytes += node.listeners.capacity() * sizeof(LinkListener*);
   }

@@ -389,7 +389,6 @@ class Network {
   // query); they are swept opportunistically when the ledger next grows
   // past the purge threshold, which bounds residency at O(peak active).
   util::FlatMap<std::uint64_t, sim::SimTime, ~0ULL> blackout_map_;
-  std::vector<std::uint64_t> blackout_scratch_;  // purge staging
   std::size_t blackout_purge_at_ = 64;
   double burst_loss_ = 0.0;
 

@@ -161,8 +161,13 @@ std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
   // the invariant checker is sweep-only — traffic and energy are
   // bit-identical to v11, but finite-battery runs with the checker on
   // reported false delivery-to-dead-node violations, and
-  // invariant_violations is a serialized stat.
-  os << "code-v12\n";
+  // invariant_violations is a serialized stat. v13: DupCache keeps its
+  // sightings in util::FlatMap — every verdict is bit-identical to v12,
+  // but the table grows at 5/8 load with no purge staging copy, and the
+  // blackout ledger lost its staging buffer, so routing_memory_bytes,
+  // servent_memory_bytes and (once a blackout ledger has been purged)
+  // net_memory_bytes, all serialized stats, change.
+  os << "code-v13\n";
   put(os, "area_width", p.area_width);
   put(os, "area_height", p.area_height);
   put(os, "radio_range", p.radio_range);

@@ -81,18 +81,6 @@ class Counter final : public Sink {
   std::vector<PerNode> per_node_;
 };
 
-/// Fans one record out to several sinks (write to disk AND count).
-class Tee final : public Sink {
- public:
-  void add(Sink* sink) { sinks_.push_back(sink); }
-  void record(const Record& record) override {
-    for (Sink* sink : sinks_) sink->record(record);
-  }
-
- private:
-  std::vector<Sink*> sinks_;
-};
-
 /// Bridges the Network's observer hook to a trace sink:
 ///   network.set_observer(&adapter);
 class NetworkAdapter final : public net::NetObserver {

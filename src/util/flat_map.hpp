@@ -3,10 +3,11 @@
 // The mega-scale rule is that every per-node structure must be O(touched),
 // not O(n): a routing table holds Route entries for the destinations a
 // node actually learned, a blackout ledger holds the links actually
-// suppressed — never an array indexed by the whole population. This map is
-// the shared representation: linear probing over a power-of-two slot
-// array, Fibonacci hashing, backward-shift deletion (no tombstones), and
-// no per-entry heap nodes. Keys and values live in parallel arrays so a
+// suppressed, a duplicate cache holds the floods actually heard — never an
+// array indexed by the whole population. This map is the one open-addressed
+// table in the tree: linear probing over a power-of-two slot array,
+// Fibonacci hashing, backward-shift deletion (no tombstones), and no
+// per-entry heap nodes. Keys and values live in parallel arrays so a
 // probe walks a dense key array (16 NodeId keys per cache line) and only
 // touches the value array on a hit — lookups stay cheap even when T is a
 // fat struct like a routing Route.
@@ -21,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -80,27 +82,25 @@ class FlatMap {
   /// without tombstones). Returns whether it was present.
   bool erase(Key key) noexcept {
     if (keys_.empty()) return false;
-    std::size_t i = probe(key);
+    const std::size_t i = probe(key);
     if (keys_[i] != key) return false;
-    const std::size_t mask = keys_.size() - 1;
-    for (;;) {
-      keys_[i] = EmptyKey;
-      values_[i] = T{};
-      std::size_t j = i;
-      for (;;) {
-        j = (j + 1) & mask;
-        if (keys_[j] == EmptyKey) {
-          --size_;
-          return true;
-        }
-        const std::size_t h = home(keys_[j], mask);
-        // Move j back into the hole iff its probe path passes through i.
-        if (((j - h) & mask) >= ((j - i) & mask)) {
-          keys_[i] = keys_[j];
-          values_[i] = std::move(values_[j]);
-          i = j;
-          break;
-        }
+    erase_slot(i);
+    return true;
+  }
+
+  /// Remove every entry for which pred(Key, const T&) holds, in one
+  /// in-place pass over the slots. After an erase the backward shift may
+  /// have moved an unvisited entry into the slot, so the same slot is
+  /// examined again. An entry whose probe run wraps past the last slot can
+  /// be shifted back behind the cursor and visited twice, so `pred` must
+  /// be a pure function of the entry.
+  template <typename Pred>
+  void erase_if(Pred&& pred) {
+    for (std::size_t i = 0; i < keys_.size();) {
+      if (keys_[i] != EmptyKey && pred(keys_[i], std::as_const(values_[i]))) {
+        erase_slot(i);
+      } else {
+        ++i;
       }
     }
   }
@@ -136,6 +136,37 @@ class FlatMap {
     return keys_.size() * sizeof(Key) + values_.size() * sizeof(T);
   }
 
+  /// Layout check for invariant sweeps: the slot count is zero or a power
+  /// of two, the occupancy equals size(), and every key is reachable from
+  /// its home slot without crossing an empty slot (the linear-probing
+  /// invariant; a key past a gap is invisible to find()). Fills `why` (if
+  /// non-null) on failure.
+  bool validate(std::string* why = nullptr) const {
+    const auto fail = [&](const std::string& reason) {
+      if (why != nullptr) *why = reason;
+      return false;
+    };
+    if ((keys_.size() & (keys_.size() - 1)) != 0) {
+      return fail("capacity not a power of two");
+    }
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t occupied = 0;
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i] == EmptyKey) continue;
+      ++occupied;
+      for (std::size_t j = home(keys_[i], mask); j != i; j = (j + 1) & mask) {
+        if (keys_[j] == EmptyKey) {
+          return fail("entry unreachable from its home slot");
+        }
+      }
+    }
+    if (occupied != size_) {
+      return fail("occupancy/size mismatch: " + std::to_string(occupied) +
+                  " vs " + std::to_string(size_));
+    }
+    return true;
+  }
+
  private:
   static std::size_t home(Key key, std::size_t mask) noexcept {
     // Fibonacci multiplicative hash; the high bits land on [0, mask].
@@ -151,6 +182,29 @@ class FlatMap {
       i = (i + 1) & mask;
     }
     return i;
+  }
+  /// Empty slot `i` and backward-shift the rest of its probe run into
+  /// the hole, so later keys stay reachable without tombstones.
+  void erase_slot(std::size_t i) noexcept {
+    const std::size_t mask = keys_.size() - 1;
+    --size_;
+    for (;;) {
+      keys_[i] = EmptyKey;
+      values_[i] = T{};
+      std::size_t j = i;
+      for (;;) {
+        j = (j + 1) & mask;
+        if (keys_[j] == EmptyKey) return;
+        const std::size_t h = home(keys_[j], mask);
+        // Move j back into the hole iff its probe path passes through i.
+        if (((j - h) & mask) >= ((j - i) & mask)) {
+          keys_[i] = keys_[j];
+          values_[i] = std::move(values_[j]);
+          i = j;
+          break;
+        }
+      }
+    }
   }
   void grow() {
     std::vector<Key> old_keys = std::move(keys_);

@@ -4,11 +4,14 @@
 // crosses the wrap boundary of the slot array, iteration-order stability
 // across growth rehashes (the determinism contract), sustained
 // insert/erase churn near the load-factor ceiling checked against a
-// reference map, and a hit at the load ceiling, which must not rehash.
+// reference map, one-pass erase_if purges over wrapping probe runs, and a
+// hit at the load ceiling, which must not rehash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "util/flat_map.hpp"
@@ -171,6 +174,85 @@ TEST(FlatMap, ChurnNearLoadCeilingMatchesReferenceMap) {
     EXPECT_TRUE(seen.emplace(k, v).second) << "duplicate key " << k;
   });
   EXPECT_EQ(seen, ref);
+}
+
+TEST(FlatMap, EraseIfMatchesReferenceMap) {
+  // Seeded insert / erase_if / find script against std::map. Half the key
+  // universe is homed at the last two slots of a 64-slot table, hence also
+  // at the last slots of the 16- and 32-slot tables it passes through, so
+  // their probe runs wrap past the last slot. That is where a one-pass
+  // purge goes wrong: the backward shift refills the slot just erased
+  // (skipping it strands a doomed key) and can move a wrapped key back
+  // behind the cursor.
+  std::vector<std::uint32_t> universe = keys_with_home(63, 64, 8);
+  for (const std::uint32_t k : keys_with_home(62, 64, 4)) {
+    universe.push_back(k);
+  }
+  for (std::uint32_t k = 1; universe.size() < 24; ++k) {
+    if (std::find(universe.begin(), universe.end(), k) == universe.end()) {
+      universe.push_back(k);
+    }
+  }
+
+  std::uint64_t rng = 0x13198A2E03707344ULL;  // fixed seed: deterministic
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::uint32_t>(rng >> 33);
+  };
+  Map map;
+  std::map<std::uint32_t, int> ref;
+  const auto expect_same = [&](int step) {
+    std::string why;
+    ASSERT_TRUE(map.validate(&why)) << "step " << step << ": " << why;
+    ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+    for (const std::uint32_t k : universe) {
+      const int* found = map.find(k);
+      const auto it = ref.find(k);
+      ASSERT_EQ(found != nullptr, it != ref.end()) << "step " << step;
+      if (found != nullptr) {
+        EXPECT_EQ(*found, it->second) << "step " << step;
+      }
+    }
+  };
+
+  // Tables never shrink, so each round starts a fresh one and caps its
+  // size: at most 10 entries stay in 16 slots, 20 in 32, 24 reach 64.
+  const std::size_t max_sizes[] = {10, 20, 24};
+  int step = 0;
+  for (int round = 0; round < 12; ++round) {
+    map = Map{};
+    ref.clear();
+    const std::size_t max_size = max_sizes[round % 3];
+    for (int i = 0; i < 250; ++i, ++step) {
+      const std::size_t target = 3 + next() % (max_size - 2);
+      while (ref.size() < target) {
+        const std::uint32_t key = universe[next() % universe.size()];
+        const int value = static_cast<int>(next() % 8);
+        map.get_or_insert(key) = value;
+        ref[key] = value;
+      }
+      const int doomed = static_cast<int>(next() % 8);
+      map.erase_if(
+          [doomed](std::uint32_t, const int& v) { return v <= doomed; });
+      std::erase_if(
+          ref, [doomed](const auto& kv) { return kv.second <= doomed; });
+      expect_same(step);
+    }
+  }
+
+  // Erase-none leaves every entry; erase-all empties the table in place.
+  for (std::size_t i = 0; i < 12; ++i) {
+    map.get_or_insert(universe[i]) = 1;
+    ref[universe[i]] = 1;
+  }
+  map.erase_if([](std::uint32_t, const int&) { return false; });
+  expect_same(-1);
+  const std::size_t bytes = map.memory_bytes();
+  map.erase_if([](std::uint32_t, const int&) { return true; });
+  ref.clear();
+  expect_same(-2);
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.memory_bytes(), bytes);  // slots retained
 }
 
 TEST(FlatMap, ClearRetainsCapacityAndMapStaysUsable) {

@@ -76,16 +76,6 @@ TEST(Trace, CounterAggregatesPerKindAndNode) {
   EXPECT_EQ(counter.node_count(3, EventKind::kDeliver), 0U);
 }
 
-TEST(Trace, TeeFansOut) {
-  Counter a(2), b(2);
-  trace::Tee tee;
-  tee.add(&a);
-  tee.add(&b);
-  tee.record({0.0, EventKind::kTransmit, 0, 1, 10});
-  EXPECT_EQ(a.count(EventKind::kTransmit), 1U);
-  EXPECT_EQ(b.count(EventKind::kTransmit), 1U);
-}
-
 struct NoopPayload final : net::FramePayload {};
 
 TEST(Trace, NetworkObserverSeesTransmitsDeliveriesAndDrops) {

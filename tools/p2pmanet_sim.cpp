@@ -7,7 +7,8 @@
 // With --seeds N > 1 the scenario is repeated across seeds (paper
 // methodology) and aggregated results are reported with 95% CIs;
 // otherwise a single run is executed and per-node detail is printed.
-// --trace writes an ns-2-style packet trace (single-run mode only).
+// --trace writes an ns-2-style packet trace (single-run, sequential mode
+// only; rejected with exit 2 otherwise).
 // --csv writes <PREFIX>_curves.csv and <PREFIX>_ranks.csv for plotting.
 // --progress logs each finished seed with wall time and events/sec;
 // --telemetry prints the JSONL run manifest (docs/determinism.md) after
@@ -214,6 +215,16 @@ int main(int argc, char** argv) {
   if (const std::string error = params.apply(config); !error.empty()) {
     std::cerr << "bad parameter: " << error << "\n";
     return 1;
+  }
+  // The packet trace hooks the one sequential Network: a multi-seed run
+  // has no single network, and sharded lanes take no observer.
+  if (!trace_path.empty() && seeds > 1) {
+    std::cerr << "--trace requires single-run mode (no --seeds N > 1)\n";
+    return 2;
+  }
+  if (!trace_path.empty() && params.effective_sim_shards() > 1) {
+    std::cerr << "--trace requires sequential execution (sim_shards <= 1)\n";
+    return 2;
   }
 
   std::cout << "p2pmanet_sim — " << params.summary() << "\n\n";
