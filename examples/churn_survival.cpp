@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<core::AlgorithmKind> algorithms;
-  if (config.contains("algorithm")) {
+  if (config.get_string("algorithm")) {
     algorithms.push_back(base.algorithm);
   } else {
     algorithms = {core::AlgorithmKind::kBasic, core::AlgorithmKind::kRegular,

@@ -1,7 +1,5 @@
 #include "core/factory.hpp"
 
-#include "util/strings.hpp"
-
 namespace p2p::core {
 
 std::unique_ptr<Servent> make_servent(AlgorithmKind kind,
@@ -21,15 +19,6 @@ std::unique_ptr<Servent> make_servent(AlgorithmKind kind,
                                              qualifier);
   }
   return nullptr;
-}
-
-std::optional<AlgorithmKind> parse_algorithm(std::string_view name) {
-  const std::string v = util::to_lower(name);
-  if (v == "basic") return AlgorithmKind::kBasic;
-  if (v == "regular") return AlgorithmKind::kRegular;
-  if (v == "random") return AlgorithmKind::kRandom;
-  if (v == "hybrid") return AlgorithmKind::kHybrid;
-  return std::nullopt;
 }
 
 }  // namespace p2p::core

@@ -2,8 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <string_view>
 
 #include "core/basic.hpp"
 #include "core/hybrid.hpp"
@@ -19,8 +17,5 @@ std::unique_ptr<Servent> make_servent(AlgorithmKind kind,
                                       const P2pParams& params,
                                       sim::RngStream rng,
                                       std::uint32_t qualifier = 0);
-
-/// Parse "basic" / "regular" / "random" / "hybrid" (case-insensitive).
-std::optional<AlgorithmKind> parse_algorithm(std::string_view name);
 
 }  // namespace p2p::core

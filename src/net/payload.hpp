@@ -198,9 +198,15 @@ class Ref {
     if (obj_->rc_home_ != nullptr) {
       obj_->rc_home_->release_payload(*obj_);
     } else {
-      delete obj_;
+      destroy(obj_);
     }
   }
+
+  // Heap payloads (make_payload) only; no simulation path frees one. Out
+  // of line because an inlined delete makes GCC 12's -Wuse-after-free flag
+  // every later use of another Ref to the same object: it cannot see that
+  // the shared count stayed positive.
+  [[gnu::noinline]] static void destroy(T* obj) noexcept { delete obj; }
 
   T* obj_ = nullptr;
 };

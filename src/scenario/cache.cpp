@@ -3,10 +3,13 @@
 #include <unistd.h>
 
 #include <array>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "sim/rng.hpp"  // fnv1a
 
@@ -14,11 +17,24 @@ namespace p2p::scenario {
 
 namespace {
 
-void put(std::ostream& os, const char* key, double v) {
-  os << key << '=' << v << '\n';
+// Canonical value text: what Parameters::apply parses back to the same
+// value. Doubles print shortest-round-trip ("inf" for battery_j's default).
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void append_value(std::string* out, T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    *out += v ? "true" : "false";
+  } else {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out->append(buf, res.ptr);
+  }
 }
-void put(std::ostream& os, const char* key, std::uint64_t v) {
-  os << key << '=' << v << '\n';
+
+template <typename E>
+  requires std::is_enum_v<E>
+void append_value(std::string* out, E v) {
+  *out += value_names(v)[static_cast<std::size_t>(v)];
 }
 
 void write_stat(std::ostream& os, const stats::RunningStat& s) {
@@ -131,155 +147,29 @@ void write_checksummed(const std::string& path, const char* version,
 
 }  // namespace
 
-std::string canonical_parameters(const Parameters& p, std::size_t num_seeds) {
-  std::ostringstream os;
-  os.precision(17);
-  // Bump this tag whenever a code change alters simulation behavior; it
-  // invalidates every cached experiment. v6: portable in-house RNG
-  // distributions replaced the std::*_distribution draws. v7: batched
-  // broadcast delivery — all message/energy metrics are bit-identical to
-  // v6, but events_processed (a serialized stat) counts one arrival event
-  // per broadcast instead of one per receiver, so v6 entries would report
-  // stale kernel telemetry. v8: fault-injection subsystem — zero-fault
-  // runs are bit-identical to v7, but churned runs changed semantics
-  // (exponential downtime, per-node RNG streams, crashed nodes now lose
-  // protocol state) and v7 entries lack the churn-metric stats. v9: the
-  // ladder is the only event queue — model results are bit-identical to
-  // v8, but runs below 8192 nodes used the 4-ary heap, so v8 entries
-  // would replay the heap's tombstone/compaction/peak-raw queue counters
-  // (and no ladder spills or re-buckets) for them. v10: the full rebuild
-  // is the only NeighborIndex maintenance mode — sequential results are
-  // bit-identical to v9, but sharded runs at >= 8192 nodes now filter
-  // ranges against positions all sampled at the window start, and
-  // net_memory_bytes (a serialized stat) no longer counts the deleted
-  // per-node deadline/sample-time arrays. v11: the hashed table is the
-  // only AODV RoutingTable representation — model results are
-  // bit-identical to v10, but AODV runs at <= 2048 nodes used dense
-  // dst-indexed slots, so v10 entries would replay their
-  // routing_memory_bytes (a serialized stat). FlatMap also stopped growing
-  // on a hit, which trims FlatMap-backed memory stats at any size. v12:
-  // the invariant checker is sweep-only — traffic and energy are
-  // bit-identical to v11, but finite-battery runs with the checker on
-  // reported false delivery-to-dead-node violations, and
-  // invariant_violations is a serialized stat. v13: DupCache keeps its
-  // sightings in util::FlatMap — every verdict is bit-identical to v12,
-  // but the table grows at 5/8 load with no purge staging copy, and the
-  // blackout ledger lost its staging buffer, so routing_memory_bytes,
-  // servent_memory_bytes and (once a blackout ledger has been purged)
-  // net_memory_bytes, all serialized stats, change.
-  os << "code-v13\n";
-  put(os, "area_width", p.area_width);
-  put(os, "area_height", p.area_height);
-  put(os, "radio_range", p.radio_range);
-  put(os, "num_nodes", static_cast<std::uint64_t>(p.num_nodes));
-  put(os, "p2p_fraction", p.p2p_fraction);
-  put(os, "duration_s", p.duration_s);
-  put(os, "seed", p.seed);
-  put(os, "mobile", static_cast<std::uint64_t>(p.mobile));
-  put(os, "mobility_kind", static_cast<std::uint64_t>(p.mobility_kind));
-  put(os, "max_speed", p.max_speed);
-  put(os, "min_speed", p.min_speed);
-  put(os, "max_pause", p.max_pause);
-  put(os, "num_files", static_cast<std::uint64_t>(p.num_files));
-  put(os, "max_frequency", p.max_frequency);
-  put(os, "algorithm", static_cast<std::uint64_t>(p.algorithm));
-  // Algorithm-scoped behavior revisions: invalidate only the affected
-  // algorithm's cached experiments.
-  if (p.algorithm == core::AlgorithmKind::kRandom) {
-    put(os, "random_code_rev", std::uint64_t{2});  // rev 2: capacity check in random_needed
-  }
-  put(os, "maxnconn", static_cast<std::uint64_t>(p.p2p.maxnconn));
-  put(os, "nhops_initial", static_cast<std::uint64_t>(p.p2p.nhops_initial));
-  put(os, "maxnhops", static_cast<std::uint64_t>(p.p2p.maxnhops));
-  put(os, "nhops_basic", static_cast<std::uint64_t>(p.p2p.nhops_basic));
-  put(os, "maxdist", static_cast<std::uint64_t>(p.p2p.maxdist));
-  put(os, "maxnslaves", static_cast<std::uint64_t>(p.p2p.maxnslaves));
-  put(os, "query_ttl", static_cast<std::uint64_t>(p.p2p.query_ttl));
-  put(os, "timer_initial", p.p2p.timer_initial);
-  put(os, "maxtimer", p.p2p.maxtimer);
-  put(os, "maxtimer_master", p.p2p.maxtimer_master);
-  put(os, "ping_interval", p.p2p.ping_interval);
-  put(os, "pong_timeout", p.p2p.pong_timeout);
-  put(os, "silence_timeout", p.p2p.silence_timeout);
-  put(os, "offer_window", p.p2p.offer_window);
-  put(os, "handshake_timeout", p.p2p.handshake_timeout);
-  put(os, "query_response_wait", p.p2p.query_response_wait);
-  put(os, "query_gap_min", p.p2p.query_gap_min);
-  put(os, "query_gap_max", p.p2p.query_gap_max);
-  put(os, "query_by_popularity",
-      static_cast<std::uint64_t>(p.p2p.query_by_popularity));
-  put(os, "enable_queries", static_cast<std::uint64_t>(p.p2p.enable_queries));
-  put(os, "routing_protocol", static_cast<std::uint64_t>(p.routing_protocol));
-  put(os, "dsdv_interval", p.dsdv.periodic_update_interval);
-  put(os, "dsdv_stale", p.dsdv.route_stale_timeout);
-  // Later-added knobs are emitted only when they deviate from defaults so
-  // that existing cache entries for default scenarios remain valid (they
-  // are behavioral no-ops at their defaults).
-  {
-    const routing::DsrParams dsr_defaults;
-    if (p.dsr.route_lifetime != dsr_defaults.route_lifetime ||
-        p.dsr.discovery_retries != dsr_defaults.discovery_retries) {
-      put(os, "dsr_lifetime", p.dsr.route_lifetime);
-      put(os, "dsr_retries",
-          static_cast<std::uint64_t>(p.dsr.discovery_retries));
-    }
-  }
-  // Fault-injection knobs, non-default-only (their defaults are exact
-  // behavioral no-ops, so fault-free entries keep their keys).
-  {
-    const fault::FaultParams fault_defaults;
-    if (p.fault.churn_rate_per_hour != fault_defaults.churn_rate_per_hour ||
-        p.fault.mean_uptime_s != fault_defaults.mean_uptime_s ||
-        p.fault.mean_downtime_s != fault_defaults.mean_downtime_s) {
-      put(os, "fault_churn_rate", p.fault.churn_rate_per_hour);
-      put(os, "fault_mean_uptime", p.fault.mean_uptime_s);
-      put(os, "fault_mean_downtime", p.fault.mean_downtime_s);
-    }
-    if (p.fault.blackouts_enabled()) {
-      put(os, "fault_blackout_rate", p.fault.blackout_rate_per_hour);
-      put(os, "fault_blackout_duration", p.fault.blackout_duration_s);
-    }
-    if (p.fault.bursts_enabled()) {
-      put(os, "fault_burst_rate", p.fault.burst_rate_per_hour);
-      put(os, "fault_burst_duration", p.fault.burst_duration_s);
-      put(os, "fault_burst_loss", p.fault.burst_loss_probability);
-    }
-    if (p.fault.crash_run_enabled()) {
-      // Crashing runs never produce a cache entry, but the key must still
-      // differ so a crash-configured request can never alias a healthy
-      // cached result for the same scenario.
-      put(os, "fault_crash_run_at", p.fault.crash_run_at_s);
-    }
-    if (p.invariant_check_interval_s != 0.0) {
-      put(os, "invariant_check_interval", p.invariant_check_interval_s);
-    }
-    if (p.fault_monitor_interval_s != 10.0) {
-      put(os, "fault_monitor_interval", p.fault_monitor_interval_s);
-    }
-  }
-  put(os, "aodv_art", p.aodv.active_route_timeout);
-  put(os, "aodv_my_rt", p.aodv.my_route_timeout);
-  put(os, "aodv_ntt", p.aodv.node_traversal_time);
-  put(os, "aodv_retries", static_cast<std::uint64_t>(p.aodv.rreq_retries));
-  put(os, "mac_bw", p.mac.bandwidth_bps);
-  put(os, "mac_loss", p.mac.loss_probability);
-  put(os, "mac_jitter", p.mac.jitter_max_s);
-  if (p.mac.gray_zone_fraction != 0.0) {
-    put(os, "mac_gray_zone", p.mac.gray_zone_fraction);
-  }
-  put(os, "battery", p.energy.battery_j);
-  put(os, "qualifier_dist", static_cast<std::uint64_t>(p.qualifier_dist));
-  put(os, "overlay_sample_interval", p.overlay_sample_interval_s);
-  put(os, "join_stagger", p.join_stagger_s);
-  // The shard count is a model parameter (spatial decomposition + per-shard
-  // RNG streams); sim_threads is pure execution and never enters the key.
-  // Non-default-only: 1 effective shard is the legacy sequential schedule,
-  // so existing cache entries keep their keys.
-  if (p.effective_sim_shards() > 1) {
-    put(os, "sim_shards", static_cast<std::uint64_t>(p.effective_sim_shards()));
-  }
-  put(os, "num_seeds", static_cast<std::uint64_t>(num_seeds));
-  return os.str();
+std::string canonical_parameters(const Parameters& params,
+                                 std::size_t num_seeds) {
+  // Every row of the parameter table under its config key, so every key a
+  // config can set keys the cache. Execution-only fields are normalised
+  // first: the shard count is a model parameter and enters as the count
+  // actually used, while sim_threads never changes a result and is pinned.
+  Parameters p = params;
+  p.sim_shards = p.effective_sim_shards();
+  p.sim_threads = 1;
+  // Bump the tag whenever a code change alters simulation output for the
+  // same parameters; docs/determinism.md "Cache-tag bump policy" has the
+  // policy and the history of every tag.
+  std::string out = "code-v13\n";
+  for_each_field(std::as_const(p), [&](ParamKey key, const auto& field) {
+    out += key.name;
+    out += '=';
+    append_value(&out, field);
+    out += '\n';
+  });
+  out += "num_seeds=";
+  append_value(&out, num_seeds);
+  out += '\n';
+  return out;
 }
 
 std::string cache_key(const Parameters& params, std::size_t num_seeds) {

@@ -1,158 +1,133 @@
 #include "scenario/parameters.hpp"
 
-#include <set>
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <utility>
 
-#include "core/factory.hpp"
 #include "util/strings.hpp"
 
 namespace p2p::scenario {
+
+namespace {
+
+constexpr std::string_view kAlgorithmNames[] = {"basic", "regular", "random",
+                                                "hybrid"};
+constexpr std::string_view kMobilityNames[] = {"waypoint", "direction",
+                                               "gauss_markov"};
+constexpr std::string_view kRoutingNames[] = {"aodv", "dsdv", "dsr"};
+constexpr std::string_view kQualifierNames[] = {"uniform", "two_class"};
+
+bool equals_ignoring_case(std::string_view a, std::string_view b) noexcept {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(a[i])) !=
+        std::tolower(static_cast<unsigned char>(b[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string bad_value(ParamKey key, const char* what, const std::string& text) {
+  return std::string("key '") + key.name + "': " + what + " '" + text + "'";
+}
+
+// One parser per field type; each returns the problem, or "" after
+// storing the value. Nothing is stored on a problem.
+std::string parse_field(ParamKey key, const std::string& text, double* out) {
+  const auto v = util::parse_double(text);
+  if (!v) return bad_value(key, "invalid number", text);
+  // strtod accepts nan and +-inf, and NaN slips through every range check
+  // in apply, so a non-finite value is refused here for every key.
+  if (!std::isfinite(*v) &&
+      !(key.takes_inf && *v == std::numeric_limits<double>::infinity())) {
+    return bad_value(key, "non-finite number", text);
+  }
+  *out = *v;
+  return {};
+}
+
+std::string parse_field(ParamKey key, const std::string& text, bool* out) {
+  const auto v = util::parse_bool(text);
+  if (!v) return bad_value(key, "invalid boolean", text);
+  *out = *v;
+  return {};
+}
+
+template <std::integral T>
+std::string parse_field(ParamKey key, const std::string& text, T* out) {
+  const auto v = util::parse_int(text);
+  if (!v) return bad_value(key, "invalid integer", text);
+  if (!std::in_range<T>(*v)) {
+    // parse_int reads a long long, which caps the 64-bit unsigned fields.
+    const auto hi = std::min<unsigned long long>(
+        std::numeric_limits<T>::max(), std::numeric_limits<long long>::max());
+    return std::string("key '") + key.name + "': integer '" + text +
+           "' out of range [" + std::to_string(std::numeric_limits<T>::min()) +
+           ", " + std::to_string(hi) + "]";
+  }
+  *out = static_cast<T>(*v);
+  return {};
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+std::string parse_field(ParamKey key, const std::string& text, E* out) {
+  const auto names = value_names(E{});
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (equals_ignoring_case(text, names[i])) {
+      *out = static_cast<E>(i);
+      return {};
+    }
+  }
+  return std::string("unknown ") + key.name + ": " + text;
+}
+
+}  // namespace
+
+std::span<const std::string_view> value_names(core::AlgorithmKind) noexcept {
+  return kAlgorithmNames;
+}
+std::span<const std::string_view> value_names(MobilityKind) noexcept {
+  return kMobilityNames;
+}
+std::span<const std::string_view> value_names(RoutingProtocol) noexcept {
+  return kRoutingNames;
+}
+std::span<const std::string_view> value_names(QualifierDist) noexcept {
+  return kQualifierNames;
+}
 
 std::string Parameters::apply(const util::Config& config) {
   // Daemon-hardened application: every key must be known AND parse as its
   // declared type. The pre-serving behavior — a typo'd key or a value like
   // "fifty" silently keeping the default — is exactly wrong for untrusted
   // input: the caller believes an override took effect when it did not.
-  // The first problem is reported ("key 'x': ..."); later getters no-op.
+  // The first problem in table order is reported ("key 'x': ..."), and
+  // parse problems come before unknown keys.
   std::string err;
-  std::set<std::string, std::less<>> pending;
-  for (auto& key : config.keys()) pending.insert(std::move(key));
-
-  const auto take = [&](const char* key) -> std::optional<std::string> {
-    pending.erase(key);
-    return config.get_string(key);
-  };
-  const auto get_d = [&](const char* key, double* out) {
-    const auto s = take(key);
-    if (!s || !err.empty()) return;
-    if (const auto v = util::parse_double(*s)) *out = *v;
-    else err = std::string("key '") + key + "': invalid number '" + *s + "'";
-  };
-  const auto get_u64 = [&](const char* key, std::uint64_t* out) {
-    const auto s = take(key);
-    if (!s || !err.empty()) return;
-    const auto v = util::parse_int(*s);
-    if (!v || *v < 0) {
-      err = std::string("key '") + key + "': invalid non-negative integer '" +
-            *s + "'";
-      return;
-    }
-    *out = static_cast<std::uint64_t>(*v);
-  };
-  const auto get_sz = [&](const char* key, std::size_t* out) {
-    std::uint64_t v = *out;  // untouched unless present and valid
-    get_u64(key, &v);
-    *out = static_cast<std::size_t>(v);
-  };
-  const auto get_i = [&](const char* key, int* out) {
-    const auto s = take(key);
-    if (!s || !err.empty()) return;
-    const auto v = util::parse_int(*s);
-    if (!v || *v < -2147483648LL || *v > 2147483647LL) {
-      err = std::string("key '") + key + "': invalid integer '" + *s + "'";
-      return;
-    }
-    *out = static_cast<int>(*v);
-  };
-  const auto get_b = [&](const char* key, bool* out) {
-    const auto s = take(key);
-    if (!s || !err.empty()) return;
-    if (const auto v = util::parse_bool(*s)) *out = *v;
-    else err = std::string("key '") + key + "': invalid boolean '" + *s + "'";
-  };
-
-  get_d("area_width", &area_width);
-  get_d("area_height", &area_height);
-  get_d("radio_range", &radio_range);
-  get_sz("num_nodes", &num_nodes);
-  get_d("p2p_fraction", &p2p_fraction);
-  get_d("duration_s", &duration_s);
-  get_u64("seed", &seed);
-
-  get_b("mobile", &mobile);
-  if (const auto v = take("mobility"); v && err.empty()) {
-    if (*v == "waypoint") mobility_kind = MobilityKind::kRandomWaypoint;
-    else if (*v == "direction") mobility_kind = MobilityKind::kRandomDirection;
-    else if (*v == "gauss_markov") mobility_kind = MobilityKind::kGaussMarkov;
-    else return "unknown mobility: " + *v;
-  }
-  get_d("max_speed", &max_speed);
-  get_d("min_speed", &min_speed);
-  get_d("max_pause", &max_pause);
-
-  {
-    std::uint64_t files = num_files;
-    get_u64("num_files", &files);
-    num_files = static_cast<std::uint32_t>(files);
-  }
-  get_d("max_frequency", &max_frequency);
-
-  if (const auto v = take("algorithm"); v && err.empty()) {
-    const auto kind = core::parse_algorithm(*v);
-    if (!kind) return "unknown algorithm: " + *v;
-    algorithm = *kind;
-  }
-
-  get_i("maxnconn", &p2p.maxnconn);
-  get_i("nhops_initial", &p2p.nhops_initial);
-  get_i("maxnhops", &p2p.maxnhops);
-  get_i("nhops_basic", &p2p.nhops_basic);
-  get_i("maxdist", &p2p.maxdist);
-  get_i("maxnslaves", &p2p.maxnslaves);
-  get_i("query_ttl", &p2p.query_ttl);
-  get_d("timer_initial", &p2p.timer_initial);
-  get_d("maxtimer", &p2p.maxtimer);
-  get_d("maxtimer_master", &p2p.maxtimer_master);
-  get_d("ping_interval", &p2p.ping_interval);
-  get_d("pong_timeout", &p2p.pong_timeout);
-  get_d("silence_timeout", &p2p.silence_timeout);
-  get_d("offer_window", &p2p.offer_window);
-  get_d("handshake_timeout", &p2p.handshake_timeout);
-  get_d("query_response_wait", &p2p.query_response_wait);
-  get_d("query_gap_min", &p2p.query_gap_min);
-  get_d("query_gap_max", &p2p.query_gap_max);
-  get_b("query_by_popularity", &p2p.query_by_popularity);
-  get_b("enable_queries", &p2p.enable_queries);
-
-  if (const auto v = take("routing_protocol"); v && err.empty()) {
-    if (*v == "aodv") routing_protocol = RoutingProtocol::kAodv;
-    else if (*v == "dsdv") routing_protocol = RoutingProtocol::kDsdv;
-    else if (*v == "dsr") routing_protocol = RoutingProtocol::kDsr;
-    else return "unknown routing_protocol: " + *v;
-  }
-  get_d("aodv_active_route_timeout", &aodv.active_route_timeout);
-  get_d("dsdv_update_interval", &dsdv.periodic_update_interval);
-  get_d("dsdv_stale_timeout", &dsdv.route_stale_timeout);
-  get_d("mac_bandwidth_bps", &mac.bandwidth_bps);
-  get_d("mac_loss_probability", &mac.loss_probability);
-  get_d("mac_gray_zone_fraction", &mac.gray_zone_fraction);
-  get_d("battery_j", &energy.battery_j);
-
-  get_d("churn_rate", &fault.churn_rate_per_hour);
-  get_d("mean_uptime", &fault.mean_uptime_s);
-  get_d("mean_downtime", &fault.mean_downtime_s);
-  get_d("link_blackout_rate", &fault.blackout_rate_per_hour);
-  get_d("link_blackout_duration", &fault.blackout_duration_s);
-  get_d("loss_burst_rate", &fault.burst_rate_per_hour);
-  get_d("loss_burst_duration", &fault.burst_duration_s);
-  get_d("loss_burst_loss", &fault.burst_loss_probability);
-  get_d("crash_run_at", &fault.crash_run_at_s);
-  get_d("invariant_check_interval", &invariant_check_interval_s);
-  get_d("fault_monitor_interval", &fault_monitor_interval_s);
-
-  if (const auto v = take("qualifier_dist"); v && err.empty()) {
-    if (*v == "uniform") qualifier_dist = QualifierDist::kUniformPermutation;
-    else if (*v == "two_class") qualifier_dist = QualifierDist::kTwoClass;
-    else return "unknown qualifier_dist: " + *v;
-  }
-  get_d("overlay_sample_interval_s", &overlay_sample_interval_s);
-  get_d("join_stagger_s", &join_stagger_s);
-
-  get_sz("sim_threads", &sim_threads);
-  get_sz("sim_shards", &sim_shards);
-
+  std::size_t known = 0;
+  for_each_field(*this, [&](ParamKey key, auto& field) {
+    if (!err.empty()) return;
+    const auto text = config.get_string(key.name);
+    if (!text) return;
+    ++known;
+    err = parse_field(key, *text, &field);
+  });
   if (!err.empty()) return err;
-  if (!pending.empty()) return "unknown key: " + *pending.begin();
+  if (known < config.size()) {
+    // Config keys come sorted, so this names the first unknown one.
+    for (const auto& name : config.keys()) {
+      bool found = false;
+      for_each_field(std::as_const(*this), [&](ParamKey key, const auto&) {
+        found = found || name == key.name;
+      });
+      if (!found) return "unknown key: " + name;
+    }
+  }
 
   // Range validation. Every rule here exists because the daemon feeds this
   // from the network: a value that would wedge the simulator (zero area,

@@ -7,7 +7,6 @@
 namespace p2p::util {
 
 bool Config::parse_ini(std::string_view text, std::string* error) {
-  std::string section;
   int lineno = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -19,20 +18,8 @@ bool Config::parse_ini(std::string_view text, std::string* error) {
 
     line = trim(line);
     if (line.empty() || line.front() == '#' || line.front() == ';') continue;
-    if (line.front() == '[') {
-      if (line.back() != ']' || line.size() < 3) {
-        if (error != nullptr) {
-          std::ostringstream os;
-          os << "line " << lineno << ": malformed section header";
-          *error = os.str();
-        }
-        return false;
-      }
-      section = std::string(trim(line.substr(1, line.size() - 2)));
-      continue;
-    }
     const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
+    if (eq == std::string_view::npos || line.front() == '[') {
       if (error != nullptr) {
         std::ostringstream os;
         os << "line " << lineno << ": expected key=value";
@@ -40,8 +27,7 @@ bool Config::parse_ini(std::string_view text, std::string* error) {
       }
       return false;
     }
-    std::string key(trim(line.substr(0, eq)));
-    const std::string value(trim(line.substr(eq + 1)));
+    const std::string_view key = trim(line.substr(0, eq));
     if (key.empty()) {
       if (error != nullptr) {
         std::ostringstream os;
@@ -50,8 +36,7 @@ bool Config::parse_ini(std::string_view text, std::string* error) {
       }
       return false;
     }
-    if (!section.empty()) key = section + "." + key;
-    set(std::move(key), value);
+    set(std::string(key), std::string(trim(line.substr(eq + 1))));
   }
   return true;
 }
@@ -70,48 +55,10 @@ void Config::set(std::string key, std::string value) {
   values_[std::move(key)] = std::move(value);
 }
 
-bool Config::contains(std::string_view key) const noexcept {
-  return values_.find(key) != values_.end();
-}
-
 std::optional<std::string> Config::get_string(std::string_view key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<long long> Config::get_int(std::string_view key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  return parse_int(*s);
-}
-
-std::optional<double> Config::get_double(std::string_view key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  return parse_double(*s);
-}
-
-std::optional<bool> Config::get_bool(std::string_view key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  return parse_bool(*s);
-}
-
-std::string Config::get_string_or(std::string_view key, std::string_view fallback) const {
-  return get_string(key).value_or(std::string(fallback));
-}
-
-long long Config::get_int_or(std::string_view key, long long fallback) const {
-  return get_int(key).value_or(fallback);
-}
-
-double Config::get_double_or(std::string_view key, double fallback) const {
-  return get_double(key).value_or(fallback);
-}
-
-bool Config::get_bool_or(std::string_view key, bool fallback) const {
-  return get_bool(key).value_or(fallback);
 }
 
 std::vector<std::string> Config::keys() const {

@@ -1,4 +1,4 @@
-// Key/value configuration store with typed accessors and INI-style parsing.
+// Key/value configuration store with INI-style parsing.
 //
 // Scenario parameters (paper Table 2 plus the timers the paper leaves
 // unspecified) have strongly-typed defaults in scenario/parameters.hpp;
@@ -18,27 +18,19 @@ class Config {
  public:
   Config() = default;
 
-  /// Parse INI-style text: `key = value` lines, `#`/`;` comments,
-  /// `[section]` headers turn keys into "section.key".
-  /// Returns false (and stops) on the first malformed line; `error` gets a
-  /// human-readable description.
+  /// Parse INI-style text: `key = value` lines and `#`/`;` comments.
+  /// Returns false (and stops) on the first malformed line, a `[section]`
+  /// header included; `error` gets a human-readable description.
   bool parse_ini(std::string_view text, std::string* error = nullptr);
 
   /// Parse a single "key=value" override (as given on a command line).
   bool parse_override(std::string_view kv, std::string* error = nullptr);
 
   void set(std::string key, std::string value);
-  bool contains(std::string_view key) const noexcept;
 
+  /// The value as written; typed parsing is the caller's (see
+  /// scenario::Parameters::apply).
   std::optional<std::string> get_string(std::string_view key) const;
-  std::optional<long long> get_int(std::string_view key) const;
-  std::optional<double> get_double(std::string_view key) const;
-  std::optional<bool> get_bool(std::string_view key) const;
-
-  std::string get_string_or(std::string_view key, std::string_view fallback) const;
-  long long get_int_or(std::string_view key, long long fallback) const;
-  double get_double_or(std::string_view key, double fallback) const;
-  bool get_bool_or(std::string_view key, bool fallback) const;
 
   /// Keys in lexicographic order (stable dumps for EXPERIMENTS.md).
   std::vector<std::string> keys() const;

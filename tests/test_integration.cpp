@@ -87,8 +87,8 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmIntegration,
                                            AlgorithmKind::kRegular,
                                            AlgorithmKind::kRandom,
                                            AlgorithmKind::kHybrid),
-                         [](const auto& info) {
-                           return core::algorithm_name(info.param);
+                         [](const auto& param_info) {
+                           return core::algorithm_name(param_info.param);
                          });
 
 TEST(PaperClaims, BasicGeneratesMostConnectTraffic) {

@@ -73,9 +73,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          AlgorithmKind::kRandom,
                                          AlgorithmKind::kHybrid),
                        ::testing::Values(1, 2, 3)),
-    [](const auto& info) {
-      return std::string(core::algorithm_name(std::get<0>(info.param))) +
-             "_seed" + std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::string(core::algorithm_name(std::get<0>(param_info.param))) +
+             "_seed" + std::to_string(std::get<1>(param_info.param));
     });
 
 // ------------------------------------------------------------------
@@ -112,8 +112,8 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, DeterminismProperty,
                                            AlgorithmKind::kRegular,
                                            AlgorithmKind::kRandom,
                                            AlgorithmKind::kHybrid),
-                         [](const auto& info) {
-                           return core::algorithm_name(info.param);
+                         [](const auto& param_info) {
+                           return core::algorithm_name(param_info.param);
                          });
 
 // ------------------------------------------------------------------

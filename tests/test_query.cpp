@@ -99,7 +99,7 @@ TEST(Query, UnansweredRequestsAreRecordedAsSuch) {
   const auto b = world.add_node(300, 300);  // unreachable
   const Placement placement = full_placement(2);
   TestRecorder recorder;
-  for (const auto [id, idx] :
+  for (const auto& [id, idx] :
        {std::pair{a, 0U}, std::pair{b, 1U}}) {
     auto& servent = world.add_servent(id, AlgorithmKind::kRegular);
     servent.set_placement(&placement, idx);
@@ -156,7 +156,7 @@ TEST(Query, DisabledQueriesIssueNothing) {
   const auto b = world.add_node(55, 50);
   const Placement placement = full_placement(2);
   TestRecorder recorder;
-  for (const auto [id, idx] : {std::pair{a, 0U}, std::pair{b, 1U}}) {
+  for (const auto& [id, idx] : {std::pair{a, 0U}, std::pair{b, 1U}}) {
     auto& servent = world.add_servent(id, AlgorithmKind::kRegular);
     servent.set_placement(&placement, idx);
     servent.set_query_recorder(&recorder);

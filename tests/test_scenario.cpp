@@ -2,8 +2,18 @@
 // extraction, determinism, and the experiment cache round-trip.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <random>
+#include <set>
+#include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "scenario/cache.hpp"
 #include "scenario/experiment.hpp"
@@ -15,6 +25,8 @@ namespace {
 using namespace p2p;
 using scenario::Parameters;
 using scenario::SimulationRun;
+
+const Parameters kDefaults;
 
 Parameters tiny_scenario(core::AlgorithmKind kind, std::uint64_t seed = 1) {
   Parameters params;
@@ -107,6 +119,70 @@ TEST(Parameters, ApplyRejectsUnparsableValues) {
   expect_rejects("seed", "-3");
   expect_rejects("mobile", "maybe");
   expect_rejects("maxnconn", "3.5");
+  // Each integer is checked against its own field's range: num_files is
+  // 32-bit, and 2^32 + 1 used to wrap to 1.
+  expect_rejects("num_files", "4294967297");
+  expect_rejects("maxnconn", "2147483648");
+}
+
+TEST(Parameters, ApplyRejectsNonFiniteNumbers) {
+  // strtod reads nan and +-inf, and NaN passes every range check, so
+  // radio_range=nan used to abort the run and duration_s=inf to spin
+  // forever. Every numeric row refuses all three, naming key and value;
+  // battery_j=inf is the one exception (its default, an unlimited budget).
+  std::vector<std::pair<std::string, bool>> numeric_keys;  // name, takes_inf
+  scenario::for_each_field(kDefaults, [&](scenario::ParamKey key,
+                                             const auto& field) {
+    using T = std::remove_cvref_t<decltype(field)>;
+    if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+      numeric_keys.emplace_back(key.name, key.takes_inf);
+    }
+  });
+  ASSERT_GE(numeric_keys.size(), 50U);
+  for (const auto& [key, takes_inf] : numeric_keys) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      util::Config config;
+      config.set(key, value);
+      const std::string err = Parameters{}.apply(config);
+      if (takes_inf && std::string(value) == "inf") {
+        EXPECT_EQ(err, "") << key << "=" << value;
+        continue;
+      }
+      ASSERT_NE(err, "") << key << "=" << value << " was accepted";
+      EXPECT_NE(err.find(key), std::string::npos) << err;
+      EXPECT_NE(err.find(value), std::string::npos) << err;
+    }
+  }
+
+  util::Config unlimited;
+  unlimited.set("num_nodes", "10");
+  unlimited.set("duration_s", "20");
+  unlimited.set("battery_j", "inf");
+  Parameters params;
+  ASSERT_EQ(params.apply(unlimited), "");
+  EXPECT_EQ(params.energy.battery_j, std::numeric_limits<double>::infinity());
+  const auto result = SimulationRun(params).run();
+  EXPECT_GT(result.frames_transmitted, 0U);
+}
+
+TEST(Parameters, EnumValuesMatchIgnoringCase) {
+  const auto algorithm_of = [](const char* text) {
+    util::Config config;
+    config.set("algorithm", text);
+    Parameters params;
+    const std::string err = params.apply(config);
+    return err.empty() ? std::optional(params.algorithm) : std::nullopt;
+  };
+  EXPECT_EQ(algorithm_of("basic"), core::AlgorithmKind::kBasic);
+  EXPECT_EQ(algorithm_of("Regular"), core::AlgorithmKind::kRegular);
+  EXPECT_EQ(algorithm_of("RANDOM"), core::AlgorithmKind::kRandom);
+  EXPECT_EQ(algorithm_of("hybrid"), core::AlgorithmKind::kHybrid);
+  EXPECT_FALSE(algorithm_of("gnutella"));
+  EXPECT_FALSE(algorithm_of(""));
+
+  util::Config bad;
+  bad.set("qualifier_dist", "gaussian");
+  EXPECT_EQ(Parameters{}.apply(bad), "unknown qualifier_dist: gaussian");
 }
 
 TEST(Parameters, ApplyRejectsOutOfRangeValues) {
@@ -390,6 +466,154 @@ TEST(Cache, KeyChangesWithParameters) {
   EXPECT_NE(scenario::cache_key(a, 5), scenario::cache_key(b, 5));
   EXPECT_NE(scenario::cache_key(a, 5), scenario::cache_key(a, 6));
   EXPECT_EQ(scenario::cache_key(a, 5), scenario::cache_key(a, 5));
+}
+
+// ---- the parameter table: one list of keys for apply and the cache key --
+
+// Draws every row of the table at random within the ranges apply accepts
+// (probabilities, fractions and speeds all fit in (0, 1]).
+Parameters random_parameters(std::mt19937_64& rng) {
+  Parameters p;
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  scenario::for_each_field(p, [&](scenario::ParamKey key, auto& field) {
+    using T = std::remove_cvref_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      field = rng() % 2 == 0;
+    } else if constexpr (std::is_same_v<T, double>) {
+      if (key.takes_inf && rng() % 4 == 0) {
+        field = std::numeric_limits<double>::infinity();
+      } else {
+        // Full-precision values across magnitudes, plus exact 1.0.
+        const double u = 1.0 - unit(rng);  // (0, 1]
+        field = rng() % 8 == 0 ? 1.0 : u * std::pow(10.0, -double(rng() % 7));
+      }
+    } else if constexpr (std::is_enum_v<T>) {
+      field = static_cast<T>(rng() % scenario::value_names(field).size());
+    } else {
+      field = static_cast<T>(1 + rng() % (std::uint64_t{1} << (rng() % 20)));
+    }
+  });
+  if (p.min_speed > p.max_speed) std::swap(p.min_speed, p.max_speed);
+  if (p.effective_sim_shards() > 1) p.fault.crash_run_at_s = -1.0;
+  return p;
+}
+
+// The canonical text without its tag line and its num_seeds line: one
+// key=value line per row.
+std::string canonical_body(const Parameters& p) {
+  std::string text = scenario::canonical_parameters(p, 1);
+  text.erase(0, text.find('\n') + 1);
+  text.erase(text.rfind("num_seeds="));
+  return text;
+}
+
+// Every row's value but the execution-only sim_threads, as doubles (the
+// drawn integers are small enough to convert exactly).
+std::vector<double> row_values(const Parameters& p) {
+  std::vector<double> values;
+  scenario::for_each_field(p, [&](scenario::ParamKey key, const auto& field) {
+    using T = std::remove_cvref_t<decltype(field)>;
+    if (std::string_view(key.name) == "sim_threads") return;
+    if constexpr (std::is_enum_v<T>) {
+      values.push_back(static_cast<double>(static_cast<int>(field)));
+    } else {
+      values.push_back(static_cast<double>(field));
+    }
+  });
+  return values;
+}
+
+std::size_t table_rows() {
+  std::size_t rows = 0;
+  scenario::for_each_field(kDefaults,
+                           [&](scenario::ParamKey, const auto&) { ++rows; });
+  return rows;
+}
+
+TEST(ParameterTable, CanonicalTextRoundTripsThroughApply) {
+  const std::size_t rows = table_rows();
+  std::mt19937_64 rng(20030422);
+  for (int draw = 0; draw < 300; ++draw) {
+    const Parameters p = random_parameters(rng);
+    const std::string body = canonical_body(p);
+    util::Config config;
+    std::string error;
+    ASSERT_TRUE(config.parse_ini(body, &error)) << error << "\n" << body;
+    EXPECT_EQ(config.size(), rows) << body;
+    Parameters q;
+    ASSERT_EQ(q.apply(config), "") << body;
+    EXPECT_EQ(row_values(q), row_values(p)) << body;
+    const std::size_t seeds = 1 + static_cast<std::size_t>(rng() % 40);
+    ASSERT_EQ(scenario::canonical_parameters(q, seeds),
+              scenario::canonical_parameters(p, seeds));
+  }
+}
+
+TEST(ParameterTable, EveryRowChangesTheCacheKey) {
+  std::mt19937_64 rng(7);
+  for (int draw = 0; draw < 40; ++draw) {
+    const Parameters base = random_parameters(rng);
+    const std::string base_key = scenario::cache_key(base, 3);
+    for (std::size_t row = 0; row < table_rows(); ++row) {
+      Parameters changed = base;
+      std::size_t i = 0;
+      std::string name;
+      scenario::for_each_field(changed, [&](scenario::ParamKey key,
+                                            auto& field) {
+        if (i++ != row) return;
+        name = key.name;
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          field = !field;
+        } else if constexpr (std::is_same_v<T, double>) {
+          // One ulp: the key must tell apart any two distinct values.
+          constexpr double kInf = std::numeric_limits<double>::infinity();
+          field = std::isfinite(field) ? std::nextafter(field, kInf)
+                                       : std::numeric_limits<double>::max();
+        } else if constexpr (std::is_enum_v<T>) {
+          const auto n = scenario::value_names(field).size();
+          field = static_cast<T>((static_cast<std::size_t>(field) + 1) % n);
+        } else {
+          field = static_cast<T>(field + 1);
+        }
+      });
+      if (name == "sim_threads") {
+        // Pure execution: any thread count gives bit-identical results.
+        EXPECT_EQ(scenario::cache_key(changed, 3), base_key);
+      } else {
+        EXPECT_NE(scenario::cache_key(changed, 3), base_key) << name;
+      }
+    }
+  }
+}
+
+// docs/parameters.md is the table's documentation: its key tables must
+// name exactly the table's rows.
+TEST(ParameterTable, MatchesDocumentedKeys) {
+  std::ifstream doc(P2P_PARAMETERS_DOC);
+  ASSERT_TRUE(doc) << P2P_PARAMETERS_DOC;
+  std::set<std::string> documented;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::string first_cell = line.substr(1, line.find('|', 1) - 1);
+    std::istringstream cell(first_cell);
+    std::string token;
+    while (std::getline(cell, token, '`')) {
+      if (!std::getline(cell, token, '`')) break;
+      if (token.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_") ==
+          std::string::npos) {
+        documented.insert(token);
+      }
+    }
+  }
+  std::set<std::string> table;
+  scenario::for_each_field(kDefaults, [&](scenario::ParamKey key,
+                                             const auto&) {
+    EXPECT_TRUE(table.insert(key.name).second) << "duplicate row " << key.name;
+  });
+  EXPECT_EQ(table, documented);
+  EXPECT_EQ(table.size(), 59U);
 }
 
 TEST(Experiment, BenchSeedCountReadsEnvironment) {

@@ -235,6 +235,10 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrors) {
       {"{\"config\":{\"mac_loss_probability\":1.5}}",
        "\"code\":\"bad_config\""},
       {"{\"config\":{\"num_nodes\":[5]}}", "\"code\":\"bad_request\""},
+      // NaN passes every range check; it used to abort the daemon (exit
+      // 134) in the worker's neighbor index.
+      {"{\"config\":{\"radio_range\":\"nan\"},\"seeds\":[1]}",
+       "\"code\":\"bad_config\""},
       // Would abort the worker in build() if apply() let it through.
       {"{\"config\":{\"num_nodes\":30,\"duration_s\":20,"
        "\"crash_run_at\":10,\"sim_threads\":2},\"seeds\":[1]}",

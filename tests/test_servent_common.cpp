@@ -11,7 +11,6 @@ using namespace p2ptest;
 using p2p::core::AlgorithmKind;
 using p2p::core::MsgType;
 using p2p::core::P2pParams;
-using p2p::core::parse_algorithm;
 
 TEST(Factory, CreatesEveryAlgorithm) {
   World world;
@@ -27,15 +26,6 @@ TEST(Factory, CreatesEveryAlgorithm) {
             AlgorithmKind::kRandom);
   EXPECT_EQ(world.add_servent(d, AlgorithmKind::kHybrid).algorithm(),
             AlgorithmKind::kHybrid);
-}
-
-TEST(Factory, ParseAlgorithmNames) {
-  EXPECT_EQ(parse_algorithm("basic"), AlgorithmKind::kBasic);
-  EXPECT_EQ(parse_algorithm("Regular"), AlgorithmKind::kRegular);
-  EXPECT_EQ(parse_algorithm("RANDOM"), AlgorithmKind::kRandom);
-  EXPECT_EQ(parse_algorithm("hybrid"), AlgorithmKind::kHybrid);
-  EXPECT_FALSE(parse_algorithm("gnutella"));
-  EXPECT_FALSE(parse_algorithm(""));
 }
 
 TEST(Params, DerivedValuesFollowThePaper) {
