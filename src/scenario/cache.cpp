@@ -145,6 +145,10 @@ void write_checksummed(const std::string& path, const char* version,
   if (ec) std::filesystem::remove(tmp, ec);
 }
 
+// Seed entries hold seed_line_json's bytes: bump the version whenever the
+// line's format changes (docs/determinism.md lists each bump).
+constexpr const char* kSeedEntryVersion = "seed-v2";
+
 }  // namespace
 
 std::string canonical_parameters(const Parameters& params,
@@ -265,7 +269,8 @@ std::string seed_cache_path(const Parameters& params) {
 
 bool load_cached_seed_line(const Parameters& params, std::string* line) {
   std::string payload;
-  if (!read_checksummed(seed_cache_path(params), "seed-v1", &payload)) {
+  if (!read_checksummed(seed_cache_path(params), kSeedEntryVersion,
+                        &payload)) {
     return false;
   }
   // Payload is the line plus the trailing newline the writer appended.
@@ -278,7 +283,7 @@ bool load_cached_seed_line(const Parameters& params, std::string* line) {
 
 void store_cached_seed_line(const Parameters& params,
                             const std::string& line) {
-  write_checksummed(seed_cache_path(params), "seed-v1", line + "\n");
+  write_checksummed(seed_cache_path(params), kSeedEntryVersion, line + "\n");
 }
 
 ExperimentResult run_experiment_cached(const Parameters& params,

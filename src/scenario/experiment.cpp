@@ -61,34 +61,10 @@ void aggregate(ExperimentResult* result, const RunResult& run) {
 /// batch worker and run_single_seed so the two paths can never drift).
 SeedTelemetry make_seed_telemetry(std::size_t seed_index, std::uint64_t seed,
                                   double wall, const RunResult& run) {
-  SeedTelemetry t;
-  t.seed_index = seed_index;
-  t.seed = seed;
-  t.wall_seconds = wall;
-  t.events_processed = run.events_processed;
-  t.events_per_sec =
+  const double events_per_sec =
       wall > 0.0 ? static_cast<double>(run.events_processed) / wall : 0.0;
-  t.frames_tx = run.frames_transmitted;
-  t.frames_rx = run.frames_delivered;
-  t.frames_lost = run.frames_lost;
-  t.peak_queue_depth = run.peak_queue_depth;
-  t.queue_pushes = run.queue_pushes;
-  t.queue_pops = run.queue_pops;
-  t.queue_tombstones_purged = run.queue_tombstones_purged;
-  t.queue_compactions = run.queue_compactions;
-  t.queue_ladder_spills = run.queue_ladder_spills;
-  t.queue_ladder_rebuckets = run.queue_ladder_rebuckets;
-  t.queue_peak_raw = run.queue_peak_raw;
-  t.payload_acquires = run.payload_acquires;
-  t.payload_slab_allocs = run.payload_slab_allocs;
-  t.payload_peak_live = run.payload_peak_live;
-  t.net_memory_bytes = run.net_memory_bytes;
-  t.routing_memory_bytes = run.routing_memory_bytes;
-  t.servent_memory_bytes = run.servent_memory_bytes;
-  t.churn_deaths = run.churn_deaths;
-  t.invariant_violations = run.invariant_violations;
-  t.overlay_disrupted_s = run.overlay_disrupted_s;
-  return t;
+  // The RunCounters base is copied out of `run`.
+  return {run, seed_index, seed, wall, events_per_sec};
 }
 
 }  // namespace

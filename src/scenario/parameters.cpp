@@ -1,7 +1,7 @@
 #include "scenario/parameters.hpp"
 
-#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -59,17 +59,21 @@ std::string parse_field(ParamKey key, const std::string& text, bool* out) {
 
 template <std::integral T>
 std::string parse_field(ParamKey key, const std::string& text, T* out) {
-  const auto v = util::parse_int(text);
-  if (!v) return bad_value(key, "invalid integer", text);
-  if (!std::in_range<T>(*v)) {
-    // parse_int reads a long long, which caps the 64-bit unsigned fields.
-    const auto hi = std::min<unsigned long long>(
-        std::numeric_limits<T>::max(), std::numeric_limits<long long>::max());
+  // Parsed straight into the field's own type, so every value it can hold
+  // is accepted (all 2^64 seeds) and anything it cannot is refused.
+  const std::string_view digits = util::trim(text);
+  T v{};
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), v);
+  if (ec == std::errc::result_out_of_range) {
     return std::string("key '") + key.name + "': integer '" + text +
            "' out of range [" + std::to_string(std::numeric_limits<T>::min()) +
-           ", " + std::to_string(hi) + "]";
+           ", " + std::to_string(std::numeric_limits<T>::max()) + "]";
   }
-  *out = static_cast<T>(*v);
+  if (ec != std::errc{} || end != digits.data() + digits.size()) {
+    return bad_value(key, "invalid integer", text);
+  }
+  *out = v;
   return {};
 }
 
@@ -150,6 +154,23 @@ std::string Parameters::apply(const util::Config& config) {
   if (max_frequency <= 0.0 || max_frequency > 1.0) {
     return "max_frequency must be in (0, 1]";
   }
+  // Overlay integers. Hop counts feed FloodService::flood, which carries
+  // max_hops - 1 in a uint8_t, and Random floods up to 2 * maxnhops; the
+  // query TTL is a uint8_t itself; maxnslaves is used as a size_t.
+  if (p2p.maxnconn < 1) return "maxnconn must be >= 1";
+  if (p2p.maxnhops < 1 || p2p.maxnhops > 128) {
+    return "maxnhops must be in [1, 128]";
+  }
+  if (p2p.nhops_initial < 1 || p2p.nhops_initial > p2p.maxnhops) {
+    return "nhops_initial must be in [1, maxnhops]";
+  }
+  if (p2p.nhops_basic < 1 || p2p.nhops_basic > 256) {
+    return "nhops_basic must be in [1, 256]";
+  }
+  if (p2p.query_ttl < 1 || p2p.query_ttl > 255) {
+    return "query_ttl must be in [1, 255]";
+  }
+  if (p2p.maxnslaves < 0) return "maxnslaves must be >= 0";
   if (mac.bandwidth_bps <= 0.0) return "mac_bandwidth_bps must be > 0";
   if (mac.loss_probability < 0.0 || mac.loss_probability > 1.0) {
     return "mac_loss_probability must be in [0, 1]";

@@ -21,6 +21,7 @@
 #include "routing/flood.hpp"
 #include "routing/service.hpp"
 #include "scenario/parameters.hpp"
+#include "scenario/telemetry.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -57,7 +58,10 @@ struct FileRankStats {
   }
 };
 
-struct RunResult {
+/// Everything one run measured. The counters its seed line reports come
+/// from RunCounters, so `result.events_processed` and the rest read as
+/// plain members.
+struct RunResult : RunCounters {
   std::size_t num_nodes = 0;
   std::size_t num_members = 0;
 
@@ -66,68 +70,25 @@ struct RunResult {
   /// Per-file-rank query stats (index = rank - 1).
   std::vector<FileRankStats> per_file;
 
-  // Network/energy totals.
-  std::uint64_t frames_transmitted = 0;
-  std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_lost = 0;
-  double energy_consumed_j = 0.0;
-  std::uint64_t events_processed = 0;
-  std::size_t peak_queue_depth = 0;  // event-queue high-water mark (live)
-
-  // Event-queue operation counters, summed over the main Simulator and
-  // every shard (sim::EventQueue::Stats). Fixed-seed deterministic and
-  // thread-count invariant — the pop order, and hence every push/pop/
-  // cancel a run performs, is identical across thread counts.
-  // queue_peak_raw is the physical-storage high-water mark (tombstones
-  // included; it depends on purge timing, unlike the live
-  // peak_queue_depth above).
-  std::uint64_t queue_pushes = 0;
-  std::uint64_t queue_pops = 0;
-  std::uint64_t queue_tombstones_purged = 0;
-  std::uint64_t queue_compactions = 0;
-  std::uint64_t queue_ladder_spills = 0;
-  std::uint64_t queue_ladder_rebuckets = 0;
-  std::size_t queue_peak_raw = 0;
+  double energy_consumed_j = 0.0;  // summed over every node's radio
 
   // Routing totals (protocol-independent; see RoutingService::Telemetry).
   std::uint64_t routing_control_messages = 0;
   std::uint64_t data_delivered = 0;
   std::uint64_t data_dropped = 0;
 
-  // Payload-pool accounting (net::PayloadPools::stats()): acquisitions
-  // served, slab growths (allocations NOT avoided), and the high-water
-  // mark of live payloads. Fixed-seed deterministic and thread-count
-  // invariant — pools are per-run, never shared across runs or threads.
-  std::uint64_t payload_acquires = 0;
-  std::uint64_t payload_slab_allocs = 0;
-  std::size_t payload_peak_live = 0;
-
-  // Model-memory accounting (capacity-based, bytes), split by layer so
-  // mega-scale telemetry can attribute growth: the network's dense
-  // per-node arrays + spatial index + blackout ledger, the summed
-  // routing-agent state (tables, caches, pending discoveries), and the
-  // summed member-servent base state (handshake tables, connections,
-  // duplicate caches). All first-touch allocated — growth must track what
-  // the run actually did, not the population squared.
-  std::size_t net_memory_bytes = 0;
-  std::size_t routing_memory_bytes = 0;
-  std::size_t servent_memory_bytes = 0;
-
-  // Churn/fault accounting (all 0 when fault injection is disabled).
-  std::uint64_t churn_deaths = 0;
+  // Churn/fault accounting beyond RunCounters (all 0 when fault
+  // injection is disabled).
   std::uint64_t churn_recoveries = 0;
   std::uint64_t link_blackouts = 0;
   std::uint64_t loss_bursts = 0;
-  // Overlay repair under churn ("Figure C" family): time the live-member
-  // overlay spent fragmented, how many disruptions were repaired, and the
-  // mean time from fragmentation to repair (monitor-tick resolution).
-  double overlay_disrupted_s = 0.0;
+  // Overlay repair under churn ("Figure C" family): how many disruptions
+  // were repaired, and the mean time from fragmentation to repair
+  // (monitor-tick resolution).
   std::uint64_t overlay_repairs = 0;
   double mean_repair_time_s = 0.0;
   // Live members that finished the run with zero references.
   std::size_t orphaned_servents = 0;
-  // Cross-layer invariant checker (0 when disabled — and on healthy runs).
-  std::uint64_t invariant_violations = 0;
 
   /// Fraction of completed requests that got >= 1 answer (query success
   /// rate; the churn experiments plot this against churn_rate).

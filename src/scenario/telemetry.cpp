@@ -30,49 +30,36 @@ double RunTelemetry::aggregate_events_per_sec() const noexcept {
 
 namespace {
 
-/// Shared body of the per-seed line; `os` carries the manifest's fixed
-/// 6-digit float formatting so both callers emit identical bytes.
+/// Shared body of the per-seed line, and the one place that names each
+/// counter on the wire; `os` carries the manifest's fixed 6-digit float
+/// formatting so both callers emit identical bytes.
 void write_seed_line(std::ostream& os, const SeedTelemetry& s,
                      bool include_timing) {
   os << "{\"type\":\"seed\",\"index\":" << s.seed_index
      << ",\"seed\":" << s.seed;
-  if (include_timing) {
-    os << ",\"wall_s\":" << s.wall_seconds;
-  }
+  if (include_timing) os << ",\"wall_s\":" << s.wall_seconds;
   os << ",\"events\":" << s.events_processed;
-  if (include_timing) {
-    os << ",\"events_per_sec\":" << s.events_per_sec;
-  }
-  os << ",\"frames_tx\":" << s.frames_tx << ",\"frames_rx\":" << s.frames_rx
+  if (include_timing) os << ",\"events_per_sec\":" << s.events_per_sec;
+  os << ",\"frames_tx\":" << s.frames_transmitted
+     << ",\"frames_rx\":" << s.frames_delivered
      << ",\"frames_lost\":" << s.frames_lost
-     << ",\"peak_queue_depth\":" << s.peak_queue_depth;
-  if (s.queue_pushes != 0) {
-    os << ",\"queue_pushes\":" << s.queue_pushes
-       << ",\"queue_pops\":" << s.queue_pops
-       << ",\"queue_tombstones_purged\":" << s.queue_tombstones_purged
-       << ",\"queue_compactions\":" << s.queue_compactions
-       << ",\"queue_ladder_spills\":" << s.queue_ladder_spills
-       << ",\"queue_ladder_rebuckets\":" << s.queue_ladder_rebuckets
-       << ",\"queue_peak_raw\":" << s.queue_peak_raw;
-  }
-  if (s.payload_acquires != 0) {
-    os << ",\"payload_acquires\":" << s.payload_acquires
-       << ",\"payload_slab_allocs\":" << s.payload_slab_allocs
-       << ",\"payload_peak_live\":" << s.payload_peak_live;
-  }
-  if (s.net_memory_bytes != 0 || s.routing_memory_bytes != 0 ||
-      s.servent_memory_bytes != 0) {
-    os << ",\"net_memory_bytes\":" << s.net_memory_bytes
-       << ",\"routing_memory_bytes\":" << s.routing_memory_bytes
-       << ",\"servent_memory_bytes\":" << s.servent_memory_bytes;
-  }
-  if (s.churn_deaths != 0 || s.invariant_violations != 0 ||
-      s.overlay_disrupted_s != 0.0) {
-    os << ",\"churn_deaths\":" << s.churn_deaths
-       << ",\"invariant_violations\":" << s.invariant_violations
-       << ",\"overlay_disrupted_s\":" << s.overlay_disrupted_s;
-  }
-  os << "}";
+     << ",\"peak_queue_depth\":" << s.peak_queue_depth
+     << ",\"queue_pushes\":" << s.queue_pushes
+     << ",\"queue_pops\":" << s.queue_pops
+     << ",\"queue_tombstones_purged\":" << s.queue_tombstones_purged
+     << ",\"queue_compactions\":" << s.queue_compactions
+     << ",\"queue_ladder_spills\":" << s.queue_ladder_spills
+     << ",\"queue_ladder_rebuckets\":" << s.queue_ladder_rebuckets
+     << ",\"queue_peak_raw\":" << s.queue_peak_raw
+     << ",\"payload_acquires\":" << s.payload_acquires
+     << ",\"payload_slab_allocs\":" << s.payload_slab_allocs
+     << ",\"payload_peak_live\":" << s.payload_peak_live
+     << ",\"net_memory_bytes\":" << s.net_memory_bytes
+     << ",\"routing_memory_bytes\":" << s.routing_memory_bytes
+     << ",\"servent_memory_bytes\":" << s.servent_memory_bytes
+     << ",\"churn_deaths\":" << s.churn_deaths
+     << ",\"invariant_violations\":" << s.invariant_violations
+     << ",\"overlay_disrupted_s\":" << s.overlay_disrupted_s << "}";
 }
 
 }  // namespace

@@ -15,21 +15,22 @@
 
 namespace p2p::scenario {
 
-struct SeedTelemetry {
-  std::size_t seed_index = 0;   // 0-based offset from the base seed
-  std::uint64_t seed = 0;       // the actual master seed of the run
-  double wall_seconds = 0.0;    // wall-clock time of this repetition
+/// The counters one run reports on its seed line, in wire order. RunResult
+/// inherits them, and SeedTelemetry adds the seed's identity and timing.
+/// All are fixed-seed deterministic and thread-count invariant.
+struct RunCounters {
   std::uint64_t events_processed = 0;
-  double events_per_sec = 0.0;  // events_processed / wall_seconds
-  std::uint64_t frames_tx = 0;
-  std::uint64_t frames_rx = 0;
+  std::uint64_t frames_transmitted = 0;
+  std::uint64_t frames_delivered = 0;
   std::uint64_t frames_lost = 0;
   std::size_t peak_queue_depth = 0;  // event-queue high-water mark (live)
-  // Event-queue operation counters (RunResult::queue_*; zero only before
-  // the run scheduled anything, so the block is emitted to the manifest
-  // only when queue_pushes is non-zero and pre-queue-telemetry manifests
-  // stay byte-stable). Fixed-seed deterministic and thread-count
-  // invariant.
+
+  // Event-queue operation counters, summed over the main Simulator and
+  // every shard (sim::EventQueue::Stats). The pop order, and hence every
+  // push/pop/cancel a run performs, is identical across thread counts.
+  // queue_peak_raw is the physical-storage high-water mark (tombstones
+  // included; it depends on purge timing, unlike the live
+  // peak_queue_depth above).
   std::uint64_t queue_pushes = 0;
   std::uint64_t queue_pops = 0;
   std::uint64_t queue_tombstones_purged = 0;
@@ -37,28 +38,49 @@ struct SeedTelemetry {
   std::uint64_t queue_ladder_spills = 0;
   std::uint64_t queue_ladder_rebuckets = 0;
   std::size_t queue_peak_raw = 0;
-  // Payload-pool accounting (zero only when the run sent no overlay
-  // messages; emitted to the manifest only when non-zero so pre-pool
-  // manifests stay byte-stable). Thread-count invariant.
+
+  // Payload-pool accounting (net::PayloadPools::stats()): acquisitions
+  // served, slab growths (allocations NOT avoided), and the high-water
+  // mark of live payloads. Pools are per-run, never shared across runs
+  // or threads.
   std::uint64_t payload_acquires = 0;
   std::uint64_t payload_slab_allocs = 0;
   std::size_t payload_peak_live = 0;
-  // Model-memory accounting (capacity-based, bytes; see RunResult). Zero
-  // only when unmeasured; emitted to the manifest only when non-zero so
-  // pre-memory-telemetry manifests stay byte-stable.
+
+  // Model-memory accounting (capacity-based, bytes), split by layer so
+  // mega-scale telemetry can attribute growth: the network's dense
+  // per-node arrays + spatial index + blackout ledger, the summed
+  // routing-agent state (tables, caches, pending discoveries), and the
+  // summed member-servent base state (handshake tables, connections,
+  // duplicate caches). All first-touch allocated — growth must track what
+  // the run actually did, not the population squared.
   std::size_t net_memory_bytes = 0;
   std::size_t routing_memory_bytes = 0;
   std::size_t servent_memory_bytes = 0;
-  // Fault telemetry (all zero on fault-free runs; emitted to the manifest
-  // only when any is non-zero, keeping fault-free manifests byte-stable).
+
+  // Fault telemetry (all 0 on fault-free runs): crashes injected,
+  // cross-layer invariant violations (0 when the checker is off, and on
+  // healthy runs), and the time the live-member overlay spent fragmented
+  // (monitor-tick resolution).
   std::uint64_t churn_deaths = 0;
   std::uint64_t invariant_violations = 0;
   double overlay_disrupted_s = 0.0;
 };
 
+/// One seed's record: its counters plus which seed it was and how long it
+/// took on the wall clock.
+struct SeedTelemetry : RunCounters {
+  std::size_t seed_index = 0;   // 0-based offset from the base seed
+  std::uint64_t seed = 0;       // the actual master seed of the run
+  double wall_seconds = 0.0;    // wall-clock time of this repetition
+  double events_per_sec = 0.0;  // events_processed / wall_seconds
+};
+
 /// One JSONL line for one seed, exactly the bytes RunTelemetry::to_jsonl
-/// emits for that seed (no trailing newline). With `include_timing` false
-/// the nondeterministic fields (wall_s, events_per_sec) are omitted — the
+/// emits for that seed (no trailing newline). Every line carries every
+/// RunCounters field, so all lines share one key sequence
+/// (docs/determinism.md lists it). With `include_timing` false the
+/// nondeterministic fields (wall_s, events_per_sec) are omitted — the
 /// serving daemon's wire format, where a line must be byte-identical
 /// whether the result was freshly computed or replayed from cache.
 std::string seed_line_json(const SeedTelemetry& seed,

@@ -126,7 +126,7 @@ TEST_F(CacheRaceTest, TornOrCorruptFilesReadAsMiss) {
     bytes.assign(std::istreambuf_iterator<char>(f), {});
   }
   ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes.rfind("p2pmanet-cache seed-v1 ", 0), 0U)
+  EXPECT_EQ(bytes.rfind("p2pmanet-cache seed-v2 ", 0), 0U)
       << "entry header changed — bump the version instead";
 
   const auto overwrite = [&](const std::string& content) {

@@ -171,7 +171,7 @@ TEST(Determinism, TelemetryRecordsEverySeed) {
     EXPECT_EQ(t.seed_index, i);
     EXPECT_EQ(t.seed, params.seed + i);
     EXPECT_GT(t.events_processed, 0U);
-    EXPECT_GT(t.frames_tx, 0U);
+    EXPECT_GT(t.frames_transmitted, 0U);
     EXPECT_GT(t.peak_queue_depth, 0U);
     EXPECT_GE(t.events_per_sec, 0.0);
     // Memory accounting flows through the telemetry (mega-scale runs use
@@ -213,7 +213,7 @@ TEST(Determinism, PayloadPoolStatsAreThreadCountInvariant) {
     EXPECT_EQ(a.routing_memory_bytes, b.routing_memory_bytes);
     EXPECT_EQ(a.servent_memory_bytes, b.servent_memory_bytes);
   }
-  // And they reach the manifest.
+  // And they reach the manifest (every seed line carries every counter).
   const std::string jsonl = serial.to_jsonl();
   EXPECT_NE(jsonl.find("\"payload_acquires\":"), std::string::npos);
 }
@@ -246,7 +246,7 @@ TEST(Determinism, QueueStatsAreThreadCountInvariant) {
     EXPECT_EQ(a.queue_peak_raw, b.queue_peak_raw);
     EXPECT_GE(a.queue_peak_raw, a.peak_queue_depth);
   }
-  // The block reaches the manifest (non-zero-only emission).
+  // The block reaches the manifest (every seed line carries every counter).
   EXPECT_NE(serial.to_jsonl().find("\"queue_pushes\":"), std::string::npos);
 }
 
@@ -308,6 +308,23 @@ TEST_F(CacheDirTest, TruncatedCacheFileIsAMiss) {
       << "p2pmanet-cache v2 " << std::hex << sim::fnv1a(shortened) << '\n'
       << shortened;
   EXPECT_FALSE(scenario::load_cached(params, 2, &loaded));
+}
+
+TEST_F(CacheDirTest, SeedEntryFromOlderLineFormatIsAMiss) {
+  // seed-v1 lines left the fault counters out of fault-free runs; a
+  // checksum-valid entry under that header must be recomputed, not served
+  // next to fresh lines that carry them.
+  Parameters params = tiny_scenario();
+  scenario::store_cached_seed_line(params, "{\"type\":\"seed\"}");
+  std::string line;
+  ASSERT_TRUE(scenario::load_cached_seed_line(params, &line));
+  EXPECT_EQ(line, "{\"type\":\"seed\"}");
+
+  const std::string payload = line + "\n";
+  std::ofstream(scenario::seed_cache_path(params), std::ios::trunc)
+      << "p2pmanet-cache seed-v1 " << std::hex << sim::fnv1a(payload) << '\n'
+      << payload;
+  EXPECT_FALSE(scenario::load_cached_seed_line(params, &line));
 }
 
 TEST_F(CacheDirTest, ManifestWrittenNextToCacheEntry) {

@@ -123,6 +123,9 @@ TEST(Parameters, ApplyRejectsUnparsableValues) {
   // 32-bit, and 2^32 + 1 used to wrap to 1.
   expect_rejects("num_files", "4294967297");
   expect_rejects("maxnconn", "2147483648");
+  // The seed is a uint64_t: one past its top and any negative are refused.
+  expect_rejects("seed", "18446744073709551616");
+  expect_rejects("seed", "-1");
 }
 
 TEST(Parameters, ApplyRejectsNonFiniteNumbers) {
@@ -205,6 +208,41 @@ TEST(Parameters, ApplyRejectsOutOfRangeValues) {
   expect_rejects("churn_rate", "-0.5");
   // min_speed > max_speed (default max_speed = 1.0).
   expect_rejects("min_speed", "5");
+
+  // The overlay integers. maxnhops=-2 used to die with SIGFPE in
+  // ProgressiveSearch::advance and nhops_basic=0 to abort in
+  // FloodService::flood; maxnconn=-1, query_ttl=-5 and nhops_initial=0
+  // were silently accepted. Each error names its key.
+  const auto expect_named = [](const char* key, const char* value) {
+    util::Config config;
+    config.set(key, value);
+    const std::string err = Parameters{}.apply(config);
+    ASSERT_NE(err, "") << key << "=" << value << " was accepted";
+    EXPECT_NE(err.find(key), std::string::npos) << err;
+  };
+  expect_named("maxnconn", "0");
+  expect_named("maxnconn", "-1");
+  expect_named("maxnhops", "-2");
+  expect_named("maxnhops", "0");
+  expect_named("maxnhops", "129");
+  expect_named("nhops_initial", "0");
+  expect_named("nhops_initial", "7");  // > maxnhops (6 by default)
+  expect_named("nhops_basic", "0");
+  expect_named("nhops_basic", "257");
+  expect_named("query_ttl", "0");
+  expect_named("query_ttl", "-5");
+  expect_named("query_ttl", "256");
+  expect_named("maxnslaves", "-1");
+
+  // The bounds themselves are valid.
+  util::Config edges;
+  edges.set("maxnconn", "1");
+  edges.set("maxnhops", "128");
+  edges.set("nhops_initial", "128");
+  edges.set("nhops_basic", "256");
+  edges.set("query_ttl", "255");
+  edges.set("maxnslaves", "0");
+  EXPECT_EQ(Parameters{}.apply(edges), "");
 }
 
 TEST(Parameters, ApplyRejectsRemovedQueueBackendGate) {
@@ -471,7 +509,8 @@ TEST(Cache, KeyChangesWithParameters) {
 // ---- the parameter table: one list of keys for apply and the cache key --
 
 // Draws every row of the table at random within the ranges apply accepts
-// (probabilities, fractions and speeds all fit in (0, 1]).
+// (probabilities, fractions and speeds all fit in (0, 1]; the hop counts
+// and the query TTL are folded into their bounds after the draw).
 Parameters random_parameters(std::mt19937_64& rng) {
   Parameters p;
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -495,6 +534,11 @@ Parameters random_parameters(std::mt19937_64& rng) {
   });
   if (p.min_speed > p.max_speed) std::swap(p.min_speed, p.max_speed);
   if (p.effective_sim_shards() > 1) p.fault.crash_run_at_s = -1.0;
+  // Fold the bounded overlay integers (all drawn >= 1) into their ranges.
+  p.p2p.maxnhops = 1 + (p.p2p.maxnhops - 1) % 128;
+  p.p2p.nhops_initial = 1 + (p.p2p.nhops_initial - 1) % p.p2p.maxnhops;
+  p.p2p.nhops_basic = 1 + (p.p2p.nhops_basic - 1) % 256;
+  p.p2p.query_ttl = 1 + (p.p2p.query_ttl - 1) % 255;
   return p;
 }
 
@@ -547,6 +591,24 @@ TEST(ParameterTable, CanonicalTextRoundTripsThroughApply) {
     ASSERT_EQ(scenario::canonical_parameters(q, seeds),
               scenario::canonical_parameters(p, seeds));
   }
+}
+
+TEST(ParameterTable, SeedRoundTripsAcrossItsWholeRange) {
+  // Integers are parsed into the field's own type, so seeds above
+  // LLONG_MAX (half the seed space) are valid too.
+  util::Config config;
+  config.set("seed", "18446744073709551615");
+  Parameters params;
+  ASSERT_EQ(params.apply(config), "");
+  EXPECT_EQ(params.seed, std::numeric_limits<std::uint64_t>::max());
+
+  util::Config round_trip;
+  std::string error;
+  ASSERT_TRUE(round_trip.parse_ini(canonical_body(params), &error)) << error;
+  Parameters again;
+  ASSERT_EQ(again.apply(round_trip), "");
+  EXPECT_EQ(again.seed, params.seed);
+  EXPECT_EQ(scenario::cache_key(again, 1), scenario::cache_key(params, 1));
 }
 
 TEST(ParameterTable, EveryRowChangesTheCacheKey) {
@@ -614,6 +676,140 @@ TEST(ParameterTable, MatchesDocumentedKeys) {
   });
   EXPECT_EQ(table, documented);
   EXPECT_EQ(table.size(), 59U);
+}
+
+// ---- the seed line: one record, one key sequence ------------------------
+
+// The keys of one JSON object line, in order (seed lines hold no nested
+// objects and no strings with quotes).
+std::vector<std::string> line_keys(const std::string& line) {
+  std::vector<std::string> keys;
+  for (std::size_t at = 0; (at = line.find("\":", at)) != std::string::npos;
+       ++at) {
+    const std::size_t open = line.rfind('"', at - 1);
+    keys.push_back(line.substr(open + 1, at - open - 1));
+  }
+  return keys;
+}
+
+// The value written after `"key":`, up to the next ',' or '}'.
+std::string line_value(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":");
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + key.size() + 3;
+  return line.substr(begin, line.find_first_of(",}", begin) - begin);
+}
+
+TEST(Telemetry, SeedLineWritesEveryCounter) {
+  // A new RunCounters field must get a wire key below and in the writer.
+  static_assert(sizeof(scenario::RunCounters) == 21 * sizeof(std::uint64_t));
+  scenario::SeedTelemetry t;
+  t.seed_index = 3;
+  t.seed = 77;
+  t.wall_seconds = 0.5;
+  t.events_per_sec = 123.25;
+  t.events_processed = 101;
+  t.frames_transmitted = 102;
+  t.frames_delivered = 103;
+  t.frames_lost = 104;
+  t.peak_queue_depth = 105;
+  t.queue_pushes = 106;
+  t.queue_pops = 107;
+  t.queue_tombstones_purged = 108;
+  t.queue_compactions = 109;
+  t.queue_ladder_spills = 110;
+  t.queue_ladder_rebuckets = 111;
+  t.queue_peak_raw = 112;
+  t.payload_acquires = 113;
+  t.payload_slab_allocs = 114;
+  t.payload_peak_live = 115;
+  t.net_memory_bytes = 116;
+  t.routing_memory_bytes = 117;
+  t.servent_memory_bytes = 118;
+  t.churn_deaths = 119;
+  t.invariant_violations = 120;
+  t.overlay_disrupted_s = 121.5;
+  const std::pair<std::string, std::string> expected[] = {
+      {"type", "\"seed\""},
+      {"index", "3"},
+      {"seed", "77"},
+      {"wall_s", "0.500000"},
+      {"events", "101"},
+      {"events_per_sec", "123.250000"},
+      {"frames_tx", "102"},
+      {"frames_rx", "103"},
+      {"frames_lost", "104"},
+      {"peak_queue_depth", "105"},
+      {"queue_pushes", "106"},
+      {"queue_pops", "107"},
+      {"queue_tombstones_purged", "108"},
+      {"queue_compactions", "109"},
+      {"queue_ladder_spills", "110"},
+      {"queue_ladder_rebuckets", "111"},
+      {"queue_peak_raw", "112"},
+      {"payload_acquires", "113"},
+      {"payload_slab_allocs", "114"},
+      {"payload_peak_live", "115"},
+      {"net_memory_bytes", "116"},
+      {"routing_memory_bytes", "117"},
+      {"servent_memory_bytes", "118"},
+      {"churn_deaths", "119"},
+      {"invariant_violations", "120"},
+      {"overlay_disrupted_s", "121.500000"},
+  };
+  const std::string line = scenario::seed_line_json(t);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : expected) {
+    keys.push_back(key);
+    EXPECT_EQ(line_value(line, key), value) << key << " in " << line;
+  }
+  EXPECT_EQ(line_keys(line), keys) << line;  // each key once, in order
+
+  // Without timing, the same line minus wall_s and events_per_sec.
+  std::erase(keys, "wall_s");
+  std::erase(keys, "events_per_sec");
+  EXPECT_EQ(line_keys(scenario::seed_line_json(t, false)), keys);
+
+  // A fault-free run and a faulted one write the same key sequence.
+  Parameters quiet = tiny_scenario(core::AlgorithmKind::kRegular);
+  Parameters faulted = quiet;
+  faulted.fault.churn_rate_per_hour = 60.0;
+  faulted.invariant_check_interval_s = 30.0;
+  scenario::SeedTelemetry quiet_t, faulted_t;
+  scenario::run_single_seed(quiet, &quiet_t);
+  scenario::run_single_seed(faulted, &faulted_t);
+  EXPECT_EQ(quiet_t.churn_deaths, 0U);
+  EXPECT_GT(faulted_t.churn_deaths, 0U);
+  for (const bool timing : {true, false}) {
+    const std::string quiet_line = scenario::seed_line_json(quiet_t, timing);
+    const std::string faulted_line =
+        scenario::seed_line_json(faulted_t, timing);
+    EXPECT_EQ(line_keys(quiet_line), line_keys(faulted_line))
+        << quiet_line << "\n" << faulted_line;
+  }
+}
+
+// docs/determinism.md documents the seed line: its "JSONL run telemetry"
+// table must list exactly the keys seed_line_json writes, in order.
+TEST(Telemetry, MatchesDocumentedSeedLineKeys) {
+  std::ifstream doc(P2P_DETERMINISM_DOC);
+  ASSERT_TRUE(doc) << P2P_DETERMINISM_DOC;
+  std::vector<std::string> documented;
+  bool in_section = false;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("## ", 0) == 0) {
+      in_section = line == "## JSONL run telemetry";
+      continue;
+    }
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    std::istringstream cell(line.substr(1, line.find('|', 1) - 1));
+    std::string token;
+    while (std::getline(cell, token, '`') && std::getline(cell, token, '`')) {
+      documented.push_back(token);
+    }
+  }
+  EXPECT_EQ(documented, line_keys(scenario::seed_line_json({})));
 }
 
 TEST(Experiment, BenchSeedCountReadsEnvironment) {

@@ -239,6 +239,10 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrors) {
       // 134) in the worker's neighbor index.
       {"{\"config\":{\"radio_range\":\"nan\"},\"seeds\":[1]}",
        "\"code\":\"bad_config\""},
+      // Died with SIGFPE in ProgressiveSearch::advance before apply()
+      // range-checked the overlay integers.
+      {"{\"config\":{\"maxnhops\":-2},\"seeds\":[1]}",
+       "\"code\":\"bad_config\""},
       // Would abort the worker in build() if apply() let it through.
       {"{\"config\":{\"num_nodes\":30,\"duration_s\":20,"
        "\"crash_run_at\":10,\"sim_threads\":2},\"seeds\":[1]}",

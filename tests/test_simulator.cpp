@@ -1,17 +1,15 @@
 // Simulator: time advance, scheduling semantics, stop, cancellation from
-// inside handlers, and the Timer helper.
+// inside handlers.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/timer.hpp"
 
 namespace {
 
 using p2p::sim::kTimeNever;
 using p2p::sim::Simulator;
-using p2p::sim::Timer;
 
 TEST(Simulator, StartsAtTimeZero) {
   Simulator sim;
@@ -98,63 +96,6 @@ TEST(Simulator, CountsProcessedEvents) {
   sim.run();
   EXPECT_EQ(sim.events_processed(), 5U);
   EXPECT_EQ(sim.events_scheduled(), 5U);
-}
-
-TEST(Timer, FiresAfterDelay) {
-  Simulator sim;
-  int fired = 0;
-  Timer timer(sim, [&] { ++fired; });
-  timer.restart(5.0);
-  EXPECT_TRUE(timer.pending());
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(timer.pending());
-}
-
-TEST(Timer, RestartSupersedesPreviousSchedule) {
-  Simulator sim;
-  std::vector<double> fire_times;
-  Timer timer(sim, [&] { fire_times.push_back(sim.now()); });
-  timer.restart(5.0);
-  sim.at(1.0, [&] { timer.restart(10.0); });
-  sim.run();
-  ASSERT_EQ(fire_times.size(), 1U);
-  EXPECT_DOUBLE_EQ(fire_times[0], 11.0);
-}
-
-TEST(Timer, StopCancels) {
-  Simulator sim;
-  int fired = 0;
-  Timer timer(sim, [&] { ++fired; });
-  timer.restart(5.0);
-  timer.stop();
-  sim.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Timer, DestructorCancelsPendingFiring) {
-  Simulator sim;
-  int fired = 0;
-  {
-    Timer timer(sim, [&] { ++fired; });
-    timer.restart(1.0);
-  }
-  sim.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Timer, CanRestartItselfFromCallback) {
-  Simulator sim;
-  int fired = 0;
-  Timer* self = nullptr;
-  Timer timer(sim, [&] {
-    if (++fired < 3) self->restart(1.0);
-  });
-  self = &timer;
-  timer.restart(1.0);
-  sim.run();
-  EXPECT_EQ(fired, 3);
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
 
 }  // namespace

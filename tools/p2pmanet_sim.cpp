@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
         std::ostringstream line;  // single write: lines from workers don't interleave
         line << "seed " << t.seed << " done (" << done << "/" << total
              << "): " << t.wall_seconds << " s, " << t.events_per_sec
-             << " events/s, " << t.frames_tx << " frames tx\n";
+             << " events/s, " << t.frames_transmitted << " frames tx\n";
         std::cerr << line.str();
       } else {
         std::cerr << "\rrun " << done << "/" << total << std::flush;
