@@ -66,6 +66,42 @@ struct FaultParams {
   bool enabled() const noexcept {
     return churn_enabled() || blackouts_enabled() || bursts_enabled();
   }
+
+  /// Mean churn up and down times as FaultPlan::compile draws them.
+  double churn_mean_up_s() const noexcept {
+    return mean_uptime_s > 0.0 ? mean_uptime_s : 3600.0 / churn_rate_per_hour;
+  }
+  double churn_mean_down_s() const noexcept {
+    return mean_downtime_s > 0.0 ? mean_downtime_s : 1.0;
+  }
+
+  /// Expected number of events FaultPlan::compile plans for `num_nodes`
+  /// nodes over `horizon_s`, per process: a churn cycle (crash + recover)
+  /// per mean up + down time per node, a blackout per mean gap, and a
+  /// burst cycle (start + end) per mean good + bad sojourn. Lets a config
+  /// be refused before compile materializes an unbounded plan.
+  struct EventCounts {
+    double churn = 0.0;
+    double blackouts = 0.0;
+    double bursts = 0.0;
+    double total() const noexcept { return churn + blackouts + bursts; }
+  };
+  EventCounts expected_events(double num_nodes,
+                              double horizon_s) const noexcept {
+    EventCounts counts;
+    if (churn_enabled()) {
+      counts.churn = 2.0 * num_nodes * horizon_s /
+                     (churn_mean_up_s() + churn_mean_down_s());
+    }
+    if (blackouts_enabled() && num_nodes >= 2.0) {
+      counts.blackouts = blackout_rate_per_hour * horizon_s / 3600.0;
+    }
+    if (bursts_enabled()) {
+      counts.bursts = 2.0 * horizon_s /
+                      (3600.0 / burst_rate_per_hour + burst_duration_s);
+    }
+    return counts;
+  }
 };
 
 }  // namespace p2p::fault

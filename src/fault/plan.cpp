@@ -24,11 +24,8 @@ FaultPlan FaultPlan::compile(const FaultParams& params, std::size_t num_nodes,
   // Node churn: each node alternates exponential up and down times, drawn
   // from its own stream so node counts and per-node rates are independent.
   if (params.churn_enabled()) {
-    const double mean_up = params.mean_uptime_s > 0.0
-                               ? params.mean_uptime_s
-                               : 3600.0 / params.churn_rate_per_hour;
-    const double mean_down =
-        params.mean_downtime_s > 0.0 ? params.mean_downtime_s : 1.0;
+    const double mean_up = params.churn_mean_up_s();
+    const double mean_down = params.churn_mean_down_s();
     for (std::size_t i = 0; i < num_nodes; ++i) {
       auto rng = rngs.stream("fault-churn", i);
       const auto id = static_cast<net::NodeId>(i);

@@ -44,32 +44,6 @@ std::vector<int> Graph::bfs_distances(Vertex src) const {
   return dist;
 }
 
-int Graph::distance(Vertex src, Vertex dst) const {
-  return bfs_distance(adj_, src, dst);
-}
-
-int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-                 Vertex dst) {
-  if (src >= adj.size() || dst >= adj.size()) return kUnreachable;
-  if (src == dst) return 0;
-  std::vector<int> dist(adj.size(), kUnreachable);
-  std::queue<Vertex> queue;
-  dist[src] = 0;
-  queue.push(src);
-  while (!queue.empty()) {
-    const Vertex v = queue.front();
-    queue.pop();
-    for (const Vertex w : adj[v]) {
-      if (dist[w] == kUnreachable) {
-        dist[w] = dist[v] + 1;
-        if (w == dst) return dist[w];
-        queue.push(w);
-      }
-    }
-  }
-  return kUnreachable;
-}
-
 std::span<const Vertex> bfs_reach(
     const std::vector<std::vector<Vertex>>& adj, Vertex src,
     BfsScratch& scratch) {

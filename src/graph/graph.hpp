@@ -35,23 +35,12 @@ class Graph {
   /// connected).
   std::vector<int> bfs_distances(Vertex src) const;
 
-  /// Shortest hop distance between two vertices, or kUnreachable. Early
-  /// exits as soon as `dst` is settled.
-  int distance(Vertex src, Vertex dst) const;
-
   /// Connected-component label per vertex, labels are 0..k-1.
   std::vector<Vertex> components(std::size_t* count = nullptr) const;
 
  private:
   std::vector<std::vector<Vertex>> adj_;
 };
-
-/// Shortest hop distance over a raw adjacency structure (e.g.
-/// Network::adjacency_snapshot), early-exiting once `dst` settles;
-/// kUnreachable when disconnected. Queries a snapshot without constructing
-/// a Graph.
-int bfs_distance(const std::vector<std::vector<Vertex>>& adj, Vertex src,
-                 Vertex dst);
 
 /// Reusable workspace for bfs_reach: visited marks are generation stamps
 /// (no O(n) clear per sweep) and the frontier is a flat vector reused

@@ -35,9 +35,10 @@ void Network::attach_listener(NodeId id, LinkListener* listener) {
   nodes_[id].listeners.push_back(listener);
 }
 
-geo::Vec2 Network::position_of(NodeId id) {
-  // Keyed to the *global* clock — forbidden inside a shard window (use the
-  // index's cached positions there; see the sharded_* paths).
+// Out of line, like lane_position below: see the note there.
+[[gnu::noinline]] geo::Vec2 Network::position_of(NodeId id) {
+  // Keyed to the *global* clock — forbidden inside a shard window (shard
+  // lanes read the index's cached positions; see lane_position).
   P2P_DASSERT(tls_lane_ == nullptr);
   P2P_ASSERT(id < nodes_.size());
   PosCache& cache = pos_cache_[id];
@@ -47,6 +48,82 @@ geo::Vec2 Network::position_of(NodeId id) {
     cache.time = now;
   }
   return cache.pos;
+}
+
+// ---- lane-keyed model points: positions, liveness, receiver routing ----
+// refresh_for_scan, settle_liveness and to_outbox are `inline` so the base
+// lane pays a predictable branch, not a call, per transmission or
+// receiver. The shard side of each is [[unlikely]] so the base lane's code
+// is laid out first; to_outbox's queueing half stays out of line.
+//
+// lane_position and position_of stay out of line so that a position comes
+// back in two registers. Inlined into a caller, GCC (-O2) merges the two
+// position sources as one 16-byte value through the stack: two 8-byte
+// stores, then a 16-byte reload that stalls on store-to-load forwarding,
+// once per sampled position (docs/performance.md, "PR 25").
+
+[[gnu::noinline]] geo::Vec2 Network::lane_position(const Lane& lane,
+                                                   NodeId id) {
+  if (on_shard(lane)) [[unlikely]] {
+    return index_.cached_position(id);
+  }
+  return position_of(id);
+}
+
+inline void Network::refresh_for_scan(const Lane& lane) {
+  // Sharded windows refresh the index at begin_window only: the barrier
+  // instant is the one sharded-mode point that may touch mobility models.
+  if (on_shard(lane)) [[unlikely]] {
+    return;
+  }
+  refresh_index(lane.sim->now());
+}
+
+inline void Network::settle_liveness(Lane& lane, NodeId id) {
+  if (on_shard(lane)) [[unlikely]] {
+    // down_ is read-only while shards run; queue the flip for the barrier.
+    if (down_[id] == 0 && !nodes_[id].energy.alive()) {
+      lane.pending_down.push_back(id);
+    }
+    return;
+  }
+  refresh_down(id);
+}
+
+inline bool Network::to_outbox(Lane& lane, NodeId receiver,
+                               const Frame& frame, sim::SimTime arrival) {
+  if (on_shard(lane)) [[unlikely]] {
+    const std::uint32_t dst = home_shard_[receiver];
+    if (dst == home_shard_[frame.sender]) return false;
+    queue_in_outbox(lane, dst, receiver, frame, arrival);
+    return true;
+  }
+  return false;
+}
+
+void Network::queue_in_outbox(Lane& lane, std::uint32_t dst, NodeId receiver,
+                              const Frame& frame, sim::SimTime arrival) {
+  // Group into one slot per destination shard (tx_out is the transmission's
+  // dst -> slot map; a broadcast touches at most the 3x3 cell block, so a
+  // handful of shards). Each slot parks one payload reference (same-lane
+  // Ref copy); the barrier clones it into the destination lane's pools.
+  for (const auto& [d, slot] : lane.tx_out) {
+    if (d == dst) {
+      lane.outbox[slot].receivers.push_back(receiver);
+      return;
+    }
+  }
+  if (lane.outbox_used == lane.outbox.size()) lane.outbox.emplace_back();
+  const auto slot = static_cast<std::uint32_t>(lane.outbox_used++);
+  OutMsg& msg = lane.outbox[slot];
+  msg.arrival = arrival;
+  msg.dst_shard = dst;
+  msg.sender = frame.sender;
+  msg.link_dst = frame.link_dst;
+  msg.size_bytes = frame.size_bytes;
+  msg.payload = frame.payload;
+  msg.receivers.push_back(receiver);
+  lane.tx_out.emplace_back(dst, slot);
 }
 
 void Network::set_failed(NodeId id, bool failed) {
@@ -81,16 +158,11 @@ bool Network::link_blacked_out(const Lane& lane, NodeId a, NodeId b) const {
 
 bool Network::link_usable(NodeId a, NodeId b) {
   if (!alive(a) || !alive(b)) return false;
-  if (Lane* lane = tls_lane_) {
-    if (!sharded_in_range(a, b)) return false;
-    return !link_blacked_out(*lane, a, b);
-  }
-  if (!in_range(a, b)) return false;
-  return !link_blacked_out(base_, a, b);
+  return in_range(a, b) && !link_blacked_out(lane(), a, b);
 }
 
-bool Network::channel_lost(sim::RngStream& rng, const geo::Vec2& from,
-                           const geo::Vec2& to) {
+bool Network::channel_lost(sim::RngStream& rng, geo::Vec2 from,
+                           geo::Vec2 to) {
   double loss_p = params_.mac.loss_probability;
   // Only global events write burst_loss_, so windows read it race-free.
   if (burst_loss_ > 0.0) loss_p = 1.0 - (1.0 - loss_p) * (1.0 - burst_loss_);
@@ -114,11 +186,11 @@ const EnergyModel& Network::energy(NodeId id) const {
 }
 
 bool Network::in_range(NodeId a, NodeId b) {
-  if (tls_lane_ != nullptr) return sharded_in_range(a, b);
   P2P_ASSERT(a < nodes_.size() && b < nodes_.size());
   if (a == b) return true;
+  const Lane& lane = this->lane();
   const double r2 = params_.range * params_.range;
-  return geo::distance2(position_of(a), position_of(b)) <= r2;
+  return geo::distance2(lane_position(lane, a), lane_position(lane, b)) <= r2;
 }
 
 void Network::refresh_index(sim::SimTime t) {
@@ -176,9 +248,7 @@ std::vector<std::vector<NodeId>> Network::adjacency_snapshot() {
   return adj;
 }
 
-template <typename PositionFn>
-int Network::grid_hop_distance(Lane& lane, NodeId a, NodeId b,
-                               PositionFn pos) {
+int Network::grid_hop_distance(Lane& lane, NodeId a, NodeId b) {
   // Same edge relation as adjacency_snapshot() (alive endpoints, positions
   // within range, candidates_near being a guaranteed superset within the
   // drift margin), and the BFS distance is unique, so the result equals a
@@ -199,11 +269,11 @@ int Network::grid_hop_distance(Lane& lane, NodeId a, NodeId b,
   for (std::size_t head = 0; head < lane.grid_queue.size(); ++head) {
     const NodeId u = lane.grid_queue[head];
     const int du = lane.grid_dist[u];
-    const geo::Vec2 up = pos(u);
+    const geo::Vec2 up = lane_position(lane, u);
     index_.candidates_near(up, now, &lane.grid_cand);
     for (const NodeId v : lane.grid_cand) {
       if (lane.grid_stamp[v] == gen || v == u || !alive(v)) continue;
-      if (geo::distance2(up, pos(v)) > r2) continue;
+      if (geo::distance2(up, lane_position(lane, v)) > r2) continue;
       if (v == b) return du + 1;
       lane.grid_stamp[v] = gen;
       lane.grid_dist[v] = du + 1;
@@ -218,17 +288,11 @@ int Network::physical_hop_distance(NodeId a, NodeId b) {
   if (a >= n || b >= n) return graph::kUnreachable;
   if (a == b) return 0;
   if (!alive(a) || !alive(b)) return graph::kUnreachable;
-  if (Lane* lane = tls_lane_) {
-    // Inside a window: the index's cached positions, no global clock.
-    return grid_hop_distance(*lane, a, b, [this](NodeId id) {
-      return index_.cached_position(id);
-    });
-  }
+  Lane& lane = this->lane();
   // After the early returns: index rebuild time sets candidate order, and
   // candidate order sets MAC draw order.
-  refresh_index(base_.sim->now());
-  return grid_hop_distance(base_, a, b,
-                           [this](NodeId id) { return position_of(id); });
+  refresh_for_scan(lane);
+  return grid_hop_distance(lane, a, b);
 }
 
 sim::SimTime Network::schedule_tx(Lane& lane, NodeState& node,
@@ -241,20 +305,24 @@ sim::SimTime Network::schedule_tx(Lane& lane, NodeState& node,
   return start;
 }
 
-void Network::deliver(NodeId receiver, const Frame& frame) {
+void Network::deliver(Lane& lane, NodeId receiver, const Frame& frame) {
+  // Liveness is tested before the receive is charged, so the frame whose
+  // receive cost empties a battery still reaches the listeners. Inside a
+  // window the flip waits for the barrier (settle_liveness): liveness is
+  // the window-start snapshot, part of the deterministic sharded model.
   NodeState& node = nodes_[receiver];
   if (!alive(receiver)) {
     if (observer_ != nullptr) {
-      observer_->on_drop(base_.sim->now(), frame.sender, receiver,
+      observer_->on_drop(lane.sim->now(), frame.sender, receiver,
                          frame.size_bytes);
     }
     return;
   }
   node.energy.consume_rx(frame.size_bytes);
-  refresh_down(receiver);  // rx cost may have emptied the battery
-  ++base_.frames_rx;
+  settle_liveness(lane, receiver);
+  ++lane.frames_rx;
   if (observer_ != nullptr) {
-    observer_->on_deliver(base_.sim->now(), receiver, frame.sender,
+    observer_->on_deliver(lane.sim->now(), receiver, frame.sender,
                           frame.size_bytes);
   }
   for (LinkListener* listener : node.listeners) listener->on_frame(frame);
@@ -275,40 +343,38 @@ void Network::release_batch(Lane& lane, std::uint32_t batch) {
   lane.free_batches.push_back(batch);
 }
 
-void Network::deliver_batch(std::uint32_t batch, const Frame& frame) {
+void Network::deliver_batch(Lane& lane, std::uint32_t batch,
+                            const Frame& frame) {
   // Receivers were filtered (range, liveness, channel) at transmit time;
   // liveness is re-checked per delivery inside deliver() because an
   // earlier delivery in this very batch can kill a later receiver.
   // Index on every access: a delivery handler may broadcast, growing the
   // pool vector (a different batch index, but possibly reallocating).
-  for (std::size_t i = 0; i < base_.batch_pool[batch].size(); ++i) {
-    deliver(base_.batch_pool[batch][i], frame);
+  for (std::size_t i = 0; i < lane.batch_pool[batch].size(); ++i) {
+    deliver(lane, lane.batch_pool[batch][i], frame);
   }
-  release_batch(base_, batch);
+  release_batch(lane, batch);
 }
 
 void Network::broadcast(NodeId sender, FramePayloadPtr payload,
                         std::size_t bytes) {
   P2P_ASSERT(sender < nodes_.size());
-  if (Lane* lane = tls_lane_) {
-    sharded_broadcast(*lane, sender, std::move(payload), bytes);
-    return;
-  }
   if (!alive(sender)) return;
+  Lane& lane = this->lane();
   NodeState& node = nodes_[sender];
   node.energy.consume_tx(bytes);
-  refresh_down(sender);  // tx cost may have emptied the battery
-  ++base_.frames_tx;
-  const sim::SimTime now = base_.sim->now();
+  settle_liveness(lane, sender);  // tx cost may have emptied the battery
+  ++lane.frames_tx;
+  const sim::SimTime now = lane.sim->now();
   if (observer_ != nullptr) {
     observer_->on_transmit(now, sender, kBroadcast, bytes);
   }
 
-  refresh_index(now);
-  const geo::Vec2 sender_pos = position_of(sender);
-  index_.candidates_near(sender_pos, now, &base_.scratch_candidates);
+  refresh_for_scan(lane);
+  const geo::Vec2 sender_pos = lane_position(lane, sender);
+  index_.candidates_near(sender_pos, now, &lane.scratch_candidates);
   const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = schedule_tx(base_, node, duration);  // jitter
+  const sim::SimTime start = schedule_tx(lane, node, duration);  // jitter
   const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
 
   // One pass over the spatial-index candidates: range filter + channel
@@ -317,23 +383,26 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
   // runs stay bit-identical (asserted by Network.BatchedBroadcastMatches*
   // and the golden fig07 test).
   const double r2 = params_.range * params_.range;
-  const std::uint32_t batch = acquire_batch(base_);
-  for (const NodeId cand : base_.scratch_candidates) {
+  Frame frame{sender, kBroadcast, bytes, std::move(payload)};
+  const std::uint32_t batch = acquire_batch(lane);
+  lane.tx_out.clear();
+  for (const NodeId cand : lane.scratch_candidates) {
     if (cand == sender || !alive(cand)) continue;
-    const geo::Vec2 rp = position_of(cand);
+    const geo::Vec2 rp = lane_position(lane, cand);
     if (geo::distance2(sender_pos, rp) > r2) continue;
     // A blacked-out link behaves like out-of-range: silently skipped, no
     // channel draws (keeps draw order fault-free-identical).
-    if (link_blacked_out(base_, sender, cand)) continue;
-    if (channel_lost(base_.mac_rng, sender_pos, rp)) {
-      ++base_.frames_lost;
+    if (link_blacked_out(lane, sender, cand)) continue;
+    if (channel_lost(lane.mac_rng, sender_pos, rp)) {
+      ++lane.frames_lost;
       if (observer_ != nullptr) observer_->on_drop(now, sender, cand, bytes);
       continue;
     }
-    base_.batch_pool[batch].push_back(cand);
+    if (to_outbox(lane, cand, frame, arrival)) continue;
+    lane.batch_pool[batch].push_back(cand);
   }
-  if (base_.batch_pool[batch].empty()) {
-    release_batch(base_, batch);
+  if (lane.batch_pool[batch].empty()) {
+    release_batch(lane, batch);
     return;
   }
 
@@ -341,9 +410,9 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
   // list by pool index and the frame by move: no per-receiver closure,
   // no payload refcount churn. Survivors are delivered in receiver order,
   // which equals the old contiguous FIFO-tied per-receiver event order.
-  Frame frame{sender, kBroadcast, bytes, std::move(payload)};
-  base_.sim->at(arrival, [this, batch, frame = std::move(frame)] {
-    deliver_batch(batch, frame);
+  // The event runs on the lane that scheduled it, so lane() is that lane.
+  lane.sim->at(arrival, [this, batch, frame = std::move(frame)] {
+    deliver_batch(this->lane(), batch, frame);
   });
 }
 
@@ -351,34 +420,40 @@ void Network::unicast(NodeId sender, NodeId neighbor, FramePayloadPtr payload,
                       std::size_t bytes) {
   P2P_ASSERT(sender < nodes_.size());
   P2P_ASSERT(neighbor < nodes_.size());
-  if (Lane* lane = tls_lane_) {
-    sharded_unicast(*lane, sender, neighbor, std::move(payload), bytes);
-    return;
-  }
   if (!alive(sender)) return;
+  Lane& lane = this->lane();
   NodeState& node = nodes_[sender];
   node.energy.consume_tx(bytes);
-  refresh_down(sender);  // tx cost may have emptied the battery
-  ++base_.frames_tx;
-  const sim::SimTime now = base_.sim->now();
+  settle_liveness(lane, sender);  // tx cost may have emptied the battery
+  ++lane.frames_tx;
+  const sim::SimTime now = lane.sim->now();
   if (observer_ != nullptr) {
     observer_->on_transmit(now, sender, neighbor, bytes);
   }
 
-  if (!alive(neighbor) || !in_range(sender, neighbor) ||
-      link_blacked_out(base_, sender, neighbor) ||
-      channel_lost(base_.mac_rng, position_of(sender),
-                   position_of(neighbor))) {
-    ++base_.frames_lost;
+  // in_range's rule on positions read once for the range test and the
+  // channel draw alike.
+  bool lost = !alive(neighbor);
+  if (!lost) {
+    const geo::Vec2 from = lane_position(lane, sender);
+    const geo::Vec2 to = lane_position(lane, neighbor);
+    lost = geo::distance2(from, to) > params_.range * params_.range ||
+           link_blacked_out(lane, sender, neighbor) ||
+           channel_lost(lane.mac_rng, from, to);
+  }
+  if (lost) {
+    ++lane.frames_lost;
     if (observer_ != nullptr) observer_->on_drop(now, sender, neighbor, bytes);
     return;
   }
   const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = schedule_tx(base_, node, duration);
+  const sim::SimTime start = schedule_tx(lane, node, duration);
   const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
   Frame frame{sender, neighbor, bytes, std::move(payload)};
-  base_.sim->at(arrival, [this, neighbor, frame = std::move(frame)] {
-    deliver(neighbor, frame);
+  lane.tx_out.clear();
+  if (to_outbox(lane, neighbor, frame, arrival)) return;
+  lane.sim->at(arrival, [this, neighbor, frame = std::move(frame)] {
+    deliver(this->lane(), neighbor, frame);
   });
 }
 
@@ -471,7 +546,7 @@ void Network::end_window(sim::SimTime /*end*/) {
       dst.batch_pool[batch].assign(msg.receivers.begin(), msg.receivers.end());
       Frame frame{msg.sender, msg.link_dst, msg.size_bytes, std::move(clone)};
       dst.sim->at(msg.arrival, [this, batch, frame = std::move(frame)] {
-        sharded_deliver_batch(*tls_lane_, batch, frame);
+        deliver_batch(this->lane(), batch, frame);
       });
       msg.payload = FramePayloadPtr();  // back to the source lane's pool
       msg.receivers.clear();            // slot recycles with its capacity
@@ -493,153 +568,6 @@ geo::Vec2 Network::sample_position_at(NodeId id, sim::SimTime t) {
     cache.time = t;
   }
   return cache.pos;
-}
-
-bool Network::sharded_in_range(NodeId a, NodeId b) const noexcept {
-  P2P_DASSERT(a < nodes_.size() && b < nodes_.size());
-  if (a == b) return true;
-  const double r2 = params_.range * params_.range;
-  return geo::distance2(index_.cached_position(a), index_.cached_position(b)) <=
-         r2;
-}
-
-void Network::note_energy_death(Lane& lane, NodeId id) {
-  // down_ is read-only while shards run; queue the flip for the barrier.
-  if (down_[id] == 0 && !nodes_[id].energy.alive()) {
-    lane.pending_down.push_back(id);
-  }
-}
-
-void Network::sharded_deliver(Lane& lane, NodeId receiver, const Frame& frame) {
-  // Liveness is the window-start snapshot: a battery death earlier in this
-  // same window is applied at the barrier, not mid-window (part of the
-  // deterministic sharded model; batteries default to infinite).
-  if (!alive(receiver)) return;
-  NodeState& node = nodes_[receiver];
-  node.energy.consume_rx(frame.size_bytes);
-  note_energy_death(lane, receiver);
-  ++lane.frames_rx;
-  for (LinkListener* listener : node.listeners) listener->on_frame(frame);
-}
-
-void Network::sharded_deliver_batch(Lane& lane, std::uint32_t batch,
-                                    const Frame& frame) {
-  // Index on every access: a delivery handler can broadcast, growing the
-  // lane's pool vector.
-  for (std::size_t i = 0; i < lane.batch_pool[batch].size(); ++i) {
-    sharded_deliver(lane, lane.batch_pool[batch][i], frame);
-  }
-  release_batch(lane, batch);
-}
-
-void Network::sharded_broadcast(Lane& lane, NodeId sender,
-                                FramePayloadPtr payload, std::size_t bytes) {
-  if (!alive(sender)) return;
-  NodeState& node = nodes_[sender];
-  node.energy.consume_tx(bytes);
-  note_energy_death(lane, sender);
-  ++lane.frames_tx;
-
-  // Candidate filtering runs against the index's cached positions — frozen
-  // for the whole window (begin_window refreshed it), stale by at most the
-  // tolerance plus one lookahead. No mobility sampling, no global clock.
-  const geo::Vec2 sender_pos = index_.cached_position(sender);
-  index_.candidates_near(sender_pos, lane.sim->now(),
-                         &lane.scratch_candidates);
-  const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = schedule_tx(lane, node, duration);
-  const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
-
-  const double r2 = params_.range * params_.range;
-  const std::uint32_t my_shard = home_shard_[sender];
-  const std::uint32_t batch = acquire_batch(lane);
-  lane.tx_out.clear();
-  for (const NodeId cand : lane.scratch_candidates) {
-    if (cand == sender || !alive(cand)) continue;
-    const geo::Vec2 rp = index_.cached_position(cand);
-    if (geo::distance2(sender_pos, rp) > r2) continue;
-    if (link_blacked_out(lane, sender, cand)) continue;
-    if (channel_lost(lane.mac_rng, sender_pos, rp)) {
-      ++lane.frames_lost;
-      continue;
-    }
-    const std::uint32_t dst = home_shard_[cand];
-    if (dst == my_shard) {
-      lane.batch_pool[batch].push_back(cand);
-      continue;
-    }
-    // Cross-shard receiver: group into one outbox slot per destination
-    // shard (tx_out is the per-transmission dst -> slot map; broadcasts
-    // touch at most the 3x3 cell block, so a handful of shards).
-    OutMsg* msg = nullptr;
-    for (const auto& [d, slot] : lane.tx_out) {
-      if (d == dst) {
-        msg = &lane.outbox[slot];
-        break;
-      }
-    }
-    if (msg == nullptr) {
-      if (lane.outbox_used == lane.outbox.size()) lane.outbox.emplace_back();
-      const auto slot = static_cast<std::uint32_t>(lane.outbox_used++);
-      msg = &lane.outbox[slot];
-      msg->arrival = arrival;
-      msg->dst_shard = dst;
-      msg->sender = sender;
-      msg->link_dst = kBroadcast;
-      msg->size_bytes = bytes;
-      lane.tx_out.emplace_back(dst, slot);
-    }
-    msg->receivers.push_back(cand);
-  }
-  // Park one payload reference per cross-shard slot (same-lane Ref copy);
-  // the barrier clones it into each destination lane's pools.
-  for (const auto& [dst, slot] : lane.tx_out) {
-    lane.outbox[slot].payload = payload;
-  }
-  if (lane.batch_pool[batch].empty()) {
-    release_batch(lane, batch);
-    return;
-  }
-  Frame frame{sender, kBroadcast, bytes, std::move(payload)};
-  lane.sim->at(arrival, [this, batch, frame = std::move(frame)] {
-    sharded_deliver_batch(*tls_lane_, batch, frame);
-  });
-}
-
-void Network::sharded_unicast(Lane& lane, NodeId sender, NodeId neighbor,
-                              FramePayloadPtr payload, std::size_t bytes) {
-  if (!alive(sender)) return;
-  NodeState& node = nodes_[sender];
-  node.energy.consume_tx(bytes);
-  note_energy_death(lane, sender);
-  ++lane.frames_tx;
-
-  if (!alive(neighbor) || !sharded_in_range(sender, neighbor) ||
-      link_blacked_out(lane, sender, neighbor) ||
-      channel_lost(lane.mac_rng, index_.cached_position(sender),
-                   index_.cached_position(neighbor))) {
-    ++lane.frames_lost;
-    return;
-  }
-  const double duration = tx_duration(params_.mac, bytes);
-  const sim::SimTime start = schedule_tx(lane, node, duration);
-  const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
-  if (home_shard_[neighbor] == home_shard_[sender]) {
-    Frame frame{sender, neighbor, bytes, std::move(payload)};
-    lane.sim->at(arrival, [this, neighbor, frame = std::move(frame)] {
-      sharded_deliver(*tls_lane_, neighbor, frame);
-    });
-    return;
-  }
-  if (lane.outbox_used == lane.outbox.size()) lane.outbox.emplace_back();
-  OutMsg& msg = lane.outbox[lane.outbox_used++];
-  msg.arrival = arrival;
-  msg.dst_shard = home_shard_[neighbor];
-  msg.sender = sender;
-  msg.link_dst = neighbor;
-  msg.size_bytes = bytes;
-  msg.payload = std::move(payload);
-  msg.receivers.push_back(neighbor);
 }
 
 PayloadPools::Stats Network::pool_stats() const noexcept {

@@ -135,22 +135,32 @@ class Network {
 
   // ---- sharded (conservative parallel) execution ------------------------
   // See sim/sharded.hpp for the execution model. The Network keeps ONE
-  // world (nodes, liveness, spatial index, blackouts) but runs the hot
-  // delivery path on *lanes*: each lane owns a Simulator, a mac RNG
-  // stream, payload pools, broadcast batches and scratch. The sequential
-  // path runs on the base lane; sharded mode adds one lane per shard, so a
-  // shard's window runs without touching any other lane's mutable state.
-  // Cross-shard deliveries queue in a per-lane outbox and are merged at
-  // the window barrier in fixed shard order.
+  // world (nodes, liveness, spatial index, blackouts) but runs the delivery
+  // path on *lanes*: each lane owns a Simulator, a mac RNG stream, payload
+  // pools, broadcast batches and scratch. The sequential path runs on the
+  // base lane; sharded mode adds one lane per shard, so a shard's window
+  // runs without touching any other lane's mutable state.
   //
-  // Within a window, shared world state is read-only: liveness (down_) and
-  // the spatial index are frozen at the window start (begin_window), range
-  // checks use the index's cached positions (stale by <= the index
-  // tolerance — the same bound the candidate prune already compensates
-  // for), and battery deaths are deferred to the barrier. The sharded mode
-  // is therefore a (deterministic) model variant selected by the shard
-  // count, not a bit-identical replay of the sequential schedule — what IS
-  // bit-identical is the same shard count across any thread counts.
+  // broadcast, unicast, deliver, deliver_batch, in_range and link_usable
+  // each have one body, run on the calling thread's lane(). The windowed
+  // model differs from the sequential one at four points: three kept in
+  // helpers keyed on whether the lane is a shard lane, and the observer:
+  //   * positions (lane_position, refresh_for_scan): the base lane samples
+  //     fresh positions at its clock and rebuilds a stale index before a
+  //     scan; a shard lane reads the index's cached positions, frozen at
+  //     the window start (stale by <= the index tolerance plus one
+  //     lookahead — the bound the candidate prune already covers);
+  //   * liveness after an energy charge (settle_liveness): the base lane
+  //     flips down_ at once; a shard lane queues the flip for the barrier,
+  //     so liveness stays the window-start snapshot all window;
+  //   * receiver routing (to_outbox): a shard lane queues a receiver homed
+  //     on another shard in its outbox, merged at the barrier in fixed
+  //     shard order; the base lane delivers every receiver itself;
+  //   * the observer, which is simply null in sharded mode.
+  // The sharded mode is therefore a (deterministic) model variant selected
+  // by the shard count, not a bit-identical replay of the sequential
+  // schedule — what IS bit-identical is the same shard count across any
+  // thread counts.
 
   /// Deep-copies a frame payload (and any nested app payload) into `pools`.
   /// Installed by the scenario layer, which sees the concrete payload
@@ -311,24 +321,32 @@ class Network {
   /// Is the (a, b) link blacked out at the lane's clock? With an empty
   /// ledger (no blackout ever set, or all purged) this is one size test.
   bool link_blacked_out(const Lane& lane, NodeId a, NodeId b) const;
-  /// BFS over the spatial grid from `a` to `b` on the lane's scratch, with
-  /// `pos(id)` supplying positions (fresh or index-cached). Callers have
-  /// already handled out-of-range ids, a == b and dead endpoints.
-  template <typename PositionFn>
-  int grid_hop_distance(Lane& lane, NodeId a, NodeId b, PositionFn pos);
+  /// BFS over the spatial grid from `a` to `b` on the lane's scratch and
+  /// positions. Callers have already handled out-of-range ids, a == b and
+  /// dead endpoints.
+  int grid_hop_distance(Lane& lane, NodeId a, NodeId b);
 
-  // Sharded delivery paths — mirror the sequential ones below but filter
-  // ranges against the index's cached positions, defer liveness writes,
-  // and queue cross-shard receivers in the lane's outbox.
-  void sharded_broadcast(Lane& lane, NodeId sender, FramePayloadPtr payload,
-                         std::size_t bytes);
-  void sharded_unicast(Lane& lane, NodeId sender, NodeId neighbor,
-                       FramePayloadPtr payload, std::size_t bytes);
-  void sharded_deliver(Lane& lane, NodeId receiver, const Frame& frame);
-  void sharded_deliver_batch(Lane& lane, std::uint32_t batch,
-                             const Frame& frame);
-  bool sharded_in_range(NodeId a, NodeId b) const noexcept;
-  void note_energy_death(Lane& lane, NodeId id);
+  // The lane-keyed model points (see "sharded execution" above).
+  bool on_shard(const Lane& lane) const noexcept { return &lane != &base_; }
+  /// Positions: fresh (position_of) on the base lane, the index's cached
+  /// position on a shard lane.
+  geo::Vec2 lane_position(const Lane& lane, NodeId id);
+  /// Positions, scan side: the base lane rebuilds a stale index at its
+  /// clock before a candidate scan; a shard lane's index is read-only.
+  void refresh_for_scan(const Lane& lane);
+  /// Liveness after charging `id`'s battery: down_ flips now on the base
+  /// lane, at the barrier on a shard lane.
+  void settle_liveness(Lane& lane, NodeId id);
+  /// Receiver routing: on a shard lane, a receiver homed on another shard
+  /// joins the transmission's outbox slot for that shard (one slot per
+  /// destination shard, tracked in tx_out) and true is returned. The base
+  /// lane keeps every receiver.
+  bool to_outbox(Lane& lane, NodeId receiver, const Frame& frame,
+                 sim::SimTime arrival);
+  /// to_outbox's queueing half, kept out of line (the base lane never
+  /// reaches it).
+  void queue_in_outbox(Lane& lane, std::uint32_t dst, NodeId receiver,
+                       const Frame& frame, sim::SimTime arrival);
 
   /// position_of at an explicit instant (same per-node memo).
   geo::Vec2 sample_position_at(NodeId id, sim::SimTime t);
@@ -341,10 +359,11 @@ class Network {
   /// sub-millimetre extra drift at the defaults, absorbed by the candidate
   /// prune's age-scaled reach.
   void refresh_index(sim::SimTime t);
-  void deliver(NodeId receiver, const Frame& frame);
-  /// Deliver one shared frame to every receiver in the base lane's batch,
-  /// in order, then return the receiver list to the pool.
-  void deliver_batch(std::uint32_t batch, const Frame& frame);
+  /// Charge and hand one frame to `receiver`'s listeners, if it is alive.
+  void deliver(Lane& lane, NodeId receiver, const Frame& frame);
+  /// Deliver one shared frame to every receiver in the lane's batch, in
+  /// order, then return the receiver list to the pool.
+  void deliver_batch(Lane& lane, std::uint32_t batch, const Frame& frame);
 
   /// Recompute down_[id] from the authoritative NodeState (failed flag +
   /// battery); called wherever either input can change.
@@ -365,8 +384,7 @@ class Network {
   /// composed in while one is in force) + gray zone, from the lane's
   /// stream. With the burst off this is exactly the fault-free draw,
   /// including the draw-only-when-positive fast path.
-  bool channel_lost(sim::RngStream& rng, const geo::Vec2& from,
-                    const geo::Vec2& to);
+  bool channel_lost(sim::RngStream& rng, geo::Vec2 from, geo::Vec2 to);
 
   /// Key of the unordered link {a,b} in the blackout ledger (lo in the
   /// high word so keys are unique per pair).
@@ -399,9 +417,8 @@ class Network {
   std::vector<std::uint32_t> home_shard_;
   FrameCloner cloner_ = nullptr;
   /// Lane bound to the executing thread between enter_shard/exit_shard;
-  /// null outside windows, which routes every dispatching entry point
-  /// (broadcast, unicast, pools, in_range, ...) to the sequential path on
-  /// the base lane.
+  /// null outside windows, which runs every entry point (broadcast,
+  /// unicast, pools, in_range, ...) on the base lane.
   static thread_local Lane* tls_lane_;
 };
 

@@ -1,5 +1,6 @@
 #include "scenario/parameters.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -171,6 +172,12 @@ std::string Parameters::apply(const util::Config& config) {
     return "query_ttl must be in [1, 255]";
   }
   if (p2p.maxnslaves < 0) return "maxnslaves must be >= 0";
+  // A negative maxdist would read as "no bound" in handle_pong, 0 closes
+  // every maintained link, and random links use 2 * maxdist as an int.
+  if (p2p.maxdist < 1 || p2p.maxdist > std::numeric_limits<int>::max() / 2) {
+    return "maxdist must be in [1, " +
+           std::to_string(std::numeric_limits<int>::max() / 2) + "]";
+  }
   if (mac.bandwidth_bps <= 0.0) return "mac_bandwidth_bps must be > 0";
   if (mac.loss_probability < 0.0 || mac.loss_probability > 1.0) {
     return "mac_loss_probability must be in [0, 1]";
@@ -190,6 +197,20 @@ std::string Parameters::apply(const util::Config& config) {
   if (fault.burst_loss_probability < 0.0 ||
       fault.burst_loss_probability > 1.0) {
     return "loss_burst_loss must be in [0, 1]";
+  }
+  const fault::FaultParams::EventCounts events =
+      fault.expected_events(static_cast<double>(num_nodes), duration_s);
+  if (events.total() > kMaxFaultEvents) {
+    // Name the key of the process that plans the most.
+    const char* key = fault.mean_uptime_s > 0.0 ? "mean_uptime" : "churn_rate";
+    if (events.blackouts > events.churn) key = "link_blackout_rate";
+    if (events.bursts > std::max(events.churn, events.blackouts)) {
+      key = "loss_burst_rate";
+    }
+    std::ostringstream os;
+    os << key << ": the fault plan would hold about " << events.total()
+       << " events (limit " << kMaxFaultEvents << ")";
+    return os.str();
   }
   if (invariant_check_interval_s < 0.0 || fault_monitor_interval_s < 0.0 ||
       overlay_sample_interval_s < 0.0 || join_stagger_s < 0.0) {

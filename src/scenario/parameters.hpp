@@ -114,6 +114,11 @@ struct Parameters {
     return m == 0 ? 1 : m;
   }
 
+  /// Ceiling on the fault events a config may expect FaultPlan::compile
+  /// to plan (fault::FaultParams::expected_events): the plan is built whole
+  /// before the run, so an unbounded one would exhaust memory.
+  static constexpr double kMaxFaultEvents = 1e7;
+
   /// Apply "key=value" overrides, one per row of for_each_field (unknown
   /// keys are reported via the return value). Returns empty string on
   /// success, else a description of the first problem.

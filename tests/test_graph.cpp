@@ -138,23 +138,6 @@ TEST(Graph, BfsReachListsTheComponentInBfsOrder) {
   EXPECT_TRUE(bfs_reach(g.adjacency(), 99, scratch).empty());
 }
 
-TEST(Graph, PairDistance) {
-  Graph g(6);
-  for (Vertex v = 0; v + 1 < 6; ++v) g.add_edge(v, v + 1);
-  g.add_edge(0, 5);  // shortcut
-  EXPECT_EQ(g.distance(0, 3), 3);
-  EXPECT_EQ(g.distance(0, 5), 1);
-  EXPECT_EQ(g.distance(1, 5), 2);
-  EXPECT_EQ(g.distance(2, 2), 0);
-}
-
-TEST(Graph, DistanceUnreachableAndInvalid) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_EQ(g.distance(0, 2), kUnreachable);
-  EXPECT_EQ(g.distance(0, 99), kUnreachable);
-}
-
 TEST(Graph, Components) {
   Graph g(6);
   g.add_edge(0, 1);

@@ -471,11 +471,11 @@ TEST(Network, PhysicalHopDistanceGridPathMatchesSnapshotBfs) {
   const NodeId dead = f.add(3.0, 5.0);
   f.net->set_failed(dead, true);
 
-  const auto adj = f.net->adjacency_snapshot();
+  const graph::Graph snapshot(f.net->adjacency_snapshot());
   for (NodeId src = 0; src < 7; ++src) {
+    const std::vector<int> dist = snapshot.bfs_distances(src);
     for (NodeId dst = 0; dst < 7; ++dst) {
-      EXPECT_EQ(f.net->physical_hop_distance(src, dst),
-                graph::bfs_distance(adj, src, dst))
+      EXPECT_EQ(f.net->physical_hop_distance(src, dst), dist[dst])
           << "src=" << src << " dst=" << dst;
     }
   }
@@ -748,6 +748,80 @@ TEST(Network, WindowedDeliverySkipsNodesFailedBeforeTheWindow) {
   EXPECT_EQ(f.net->frames_delivered(), 2U);
   EXPECT_EQ(f.net->energy(same_dead).frames_received(), 0U);
   EXPECT_EQ(f.net->energy(cross_dead).frames_received(), 0U);
+}
+
+// Inside a shard window liveness is the window-start snapshot: a battery
+// emptied by a charge stays "alive" until the barrier applies the flip.
+// So the receive that empties a battery is delivered (as sequentially), a
+// later frame in the same window is delivered too (sequentially it would
+// not be), and alive() turns false only after end_window. The same holds
+// for a transmit that empties the sender's battery. Both nodes live on
+// shard 0: no frame crosses shards and the cloner is never called.
+TEST(Network, WindowedBatteryDeathFlipsAtTheBarrier) {
+  const net::EnergyParams defaults;
+  const double rx_cost = defaults.rx_base_j + 100 * defaults.rx_per_byte_j;
+  const double tx_cost = defaults.tx_base_j + 100 * defaults.tx_per_byte_j;
+  struct Case {
+    bool sender_dies;
+    double battery_j;
+  };
+  for (const Case c : {Case{false, 1.5 * rx_cost}, Case{true, 1.5 * tx_cost}}) {
+    SCOPED_TRACE(c.sender_dies ? "transmit empties the sender"
+                               : "receive empties the receiver");
+    Fixture f;
+    net::EnergyParams finite;
+    finite.battery_j = c.battery_j;
+    const NodeId a = f.net->add_node(
+        std::make_unique<mobility::StaticModel>(geo::Vec2{0, 0}),
+        c.sender_dies ? finite : net::EnergyParams{});
+    const NodeId b = f.net->add_node(
+        std::make_unique<mobility::StaticModel>(geo::Vec2{5, 0}),
+        c.sender_dies ? net::EnergyParams{} : finite);
+    for (const NodeId id : {a, b}) {
+      f.recorders.push_back(std::make_unique<Recorder>());
+      f.net->attach_listener(id, f.recorders.back().get());
+    }
+    const NodeId dying = c.sender_dies ? a : b;
+
+    sim::Simulator shard0;
+    sim::Simulator shard1;
+    std::vector<sim::RngStream> rngs;
+    rngs.emplace_back(11);
+    rngs.emplace_back(12);
+    f.net->enable_sharding({&shard0, &shard1}, {0, 0}, std::move(rngs),
+                           [](const FramePayload&, net::PayloadPools&) {
+                             return net::FramePayloadPtr();
+                           });
+
+    // Window 1: three frames; the second empties the battery.
+    f.net->begin_window(0.0, 1.0);
+    f.net->enter_shard(0);
+    for (int tag = 1; tag <= 3; ++tag) {
+      f.net->broadcast(a, net::make_payload<const TestPayload>(tag), 100);
+    }
+    shard0.run_window(1.0);
+    EXPECT_FALSE(f.net->energy(dying).alive());
+    EXPECT_TRUE(f.net->alive(dying));  // frozen until the barrier
+    f.net->exit_shard();
+    EXPECT_TRUE(f.net->alive(dying));
+    f.net->end_window(1.0);
+    EXPECT_FALSE(f.net->alive(dying));
+    EXPECT_EQ(f.received(b), 3U);
+    EXPECT_EQ(f.net->frames_transmitted(), 3U);
+    EXPECT_EQ(f.net->frames_delivered(), 3U);
+
+    // Window 2: the node is down now, so nothing more gets through.
+    f.net->begin_window(1.0, 2.0);
+    f.net->enter_shard(0);
+    f.net->broadcast(a, net::make_payload<const TestPayload>(4), 100);
+    shard0.run_window(2.0);
+    f.net->exit_shard();
+    f.net->end_window(2.0);
+    EXPECT_EQ(f.received(b), 3U);
+    EXPECT_EQ(f.net->frames_transmitted(), c.sender_dies ? 3U : 4U);
+    EXPECT_EQ(f.net->frames_delivered(), 3U);
+    EXPECT_EQ(f.net->energy(b).frames_received(), 3U);
+  }
 }
 
 // ---- NeighborIndex steady-state allocation lock-in ------------------------

@@ -10,11 +10,19 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/messages.hpp"
 #include "net/payload.hpp"
+#include "routing/dsdv.hpp"
+#include "routing/dsr.hpp"
+#include "routing/messages.hpp"
 #include "scenario/parameters.hpp"
+#include "scenario/payload_clone.hpp"
 #include "scenario/run.hpp"
 
 namespace {
@@ -136,6 +144,74 @@ TEST(PayloadPool, HeapFallbackWorksWithoutAnyPool) {
   EXPECT_EQ(ref.use_count(), 2U);
   ref.reset();
   EXPECT_EQ(shared->value, 3);
+}
+
+// ------------------------------------------------- cross-shard clone
+
+using FrameTypes =
+    std::tuple<routing::Rreq, routing::Rrep, routing::Rerr, routing::DataMsg,
+               routing::FloodMsg, routing::DsdvUpdate, routing::DsrRreq,
+               routing::DsrRrep, routing::DsrRerr, routing::DsrData>;
+using AppTypes =
+    std::tuple<core::ConnectProbe, core::ConnectOffer, core::ConnectRequest,
+               core::ConnectAck, core::Ping, core::Pong, core::Query,
+               core::QueryHit, core::Capture, core::SlaveRequest,
+               core::SlaveAccept, core::SlaveConfirm, core::SlaveReject,
+               core::Bye>;
+
+template <typename... Ts, typename Fn>
+void for_each_type(std::tuple<Ts...>*, Fn&& fn) {
+  (fn(std::type_identity<Ts>{}), ...);
+}
+
+// Clones `src` into fresh pools, as the barrier does for a destination
+// lane, and checks the copy: a distinct object of the same kind, made with
+// `objects` pool acquisitions.
+net::FramePayloadPtr clone_fresh(const net::FramePayload& src,
+                                 std::uint64_t objects) {
+  net::PayloadPools pools;
+  net::FramePayloadPtr clone = scenario::clone_frame_payload(src, pools);
+  EXPECT_TRUE(clone);
+  if (!clone) return clone;
+  EXPECT_EQ(clone->kind, src.kind);
+  EXPECT_NE(clone.get(), &src);
+  EXPECT_EQ(pools.stats().acquires, objects);
+  return clone;
+}
+
+// Only AODV frames cross shards in the scenario tests, so the cloner's
+// other cases are pinned here: every routing::FrameKind, bare, and every
+// core::MsgType inside each frame kind that carries an app (DataMsg,
+// FloodMsg, DsrData), whose app must be cloned into a distinct object too.
+TEST(PayloadPool, CrossShardCloneCoversEveryPayloadKind) {
+  std::set<net::PayloadKind> frame_kinds;
+  std::set<net::PayloadKind> app_kinds;
+  std::size_t app_frames = 0;
+  for_each_type(static_cast<FrameTypes*>(nullptr), [&](auto frame_tag) {
+    using F = typename decltype(frame_tag)::type;
+    const net::Ref<F> bare = net::make_payload<F>();
+    if (const auto clone = clone_fresh(*bare, 1)) {
+      frame_kinds.insert(clone->kind);
+    }
+    if constexpr (requires(const F& f) { f.app; }) {
+      ++app_frames;
+      for_each_type(static_cast<AppTypes*>(nullptr), [&](auto app_tag) {
+        using A = typename decltype(app_tag)::type;
+        const net::Ref<F> src = net::make_payload<F>();
+        src.edit()->app = net::make_payload<const A>();
+        const net::FramePayloadPtr clone = clone_fresh(*src, 2);
+        ASSERT_TRUE(clone);
+        const auto& copy = static_cast<const F&>(*clone);
+        ASSERT_TRUE(copy.app);
+        EXPECT_EQ(copy.app->kind, src->app->kind);
+        EXPECT_NE(copy.app.get(), src->app.get());
+        app_kinds.insert(copy.app->kind);
+      });
+    }
+  });
+  EXPECT_EQ(frame_kinds.size(), std::tuple_size_v<FrameTypes>);
+  EXPECT_EQ(app_frames, 3U);
+  EXPECT_EQ(app_kinds.size(), core::kNumMsgTypes);
 }
 
 // ------------------------------------------------- lifetime under churn

@@ -233,6 +233,36 @@ TEST(Parameters, ApplyRejectsOutOfRangeValues) {
   expect_named("query_ttl", "-5");
   expect_named("query_ttl", "256");
   expect_named("maxnslaves", "-1");
+  // maxdist=-1 silently disabled maintenance (handle_pong reads a negative
+  // limit as no bound), 0 closed every maintained link on its first pong,
+  // and random links double it as an int.
+  expect_named("maxdist", "-1");
+  expect_named("maxdist", "0");
+  expect_named("maxdist", "1073741824");  // INT_MAX / 2 + 1
+
+  // Fault plans whose expected size passes Parameters::kMaxFaultEvents:
+  // FaultPlan::compile died with bad_alloc on both.
+  const auto expect_plan_named = [](const char* key, const char* ini) {
+    util::Config config;
+    std::string error;
+    ASSERT_TRUE(config.parse_ini(ini, &error)) << error;
+    const std::string err = Parameters{}.apply(config);
+    ASSERT_NE(err, "") << ini << " was accepted";
+    EXPECT_NE(err.find(key), std::string::npos) << err;
+  };
+  expect_plan_named("link_blackout_rate",
+                    "num_nodes=10\nduration_s=20\nlink_blackout_rate=1e300\n");
+  expect_plan_named("mean_uptime",
+                    "num_nodes=10\nduration_s=20\nchurn_rate=1\n"
+                    "mean_uptime=1e-300\nmean_downtime=1e-300\n");
+  expect_plan_named("loss_burst_rate",
+                    "loss_burst_rate=1e12\nloss_burst_duration=1e-9\n");
+  // 1e7 blackouts over the default 3600 s: at the ceiling, accepted.
+  util::Config at_ceiling;
+  at_ceiling.set("link_blackout_rate", "1e7");
+  EXPECT_EQ(Parameters{}.apply(at_ceiling), "");
+  at_ceiling.set("link_blackout_rate", "1.1e7");
+  EXPECT_NE(Parameters{}.apply(at_ceiling), "");
 
   // The bounds themselves are valid.
   util::Config edges;
@@ -242,6 +272,9 @@ TEST(Parameters, ApplyRejectsOutOfRangeValues) {
   edges.set("nhops_basic", "256");
   edges.set("query_ttl", "255");
   edges.set("maxnslaves", "0");
+  edges.set("maxdist", "1");
+  EXPECT_EQ(Parameters{}.apply(edges), "");
+  edges.set("maxdist", "1073741823");  // INT_MAX / 2
   EXPECT_EQ(Parameters{}.apply(edges), "");
 }
 
@@ -510,7 +543,8 @@ TEST(Cache, KeyChangesWithParameters) {
 
 // Draws every row of the table at random within the ranges apply accepts
 // (probabilities, fractions and speeds all fit in (0, 1]; the hop counts
-// and the query TTL are folded into their bounds after the draw).
+// and the query TTL are folded into their bounds after the draw, and the
+// duration is shortened until the expected fault plan fits its ceiling).
 Parameters random_parameters(std::mt19937_64& rng) {
   Parameters p;
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -539,6 +573,15 @@ Parameters random_parameters(std::mt19937_64& rng) {
   p.p2p.nhops_initial = 1 + (p.p2p.nhops_initial - 1) % p.p2p.maxnhops;
   p.p2p.nhops_basic = 1 + (p.p2p.nhops_basic - 1) % 256;
   p.p2p.query_ttl = 1 + (p.p2p.query_ttl - 1) % 255;
+  // maxdist is drawn in [1, 2^19], inside its range. Halve the duration
+  // until the expected fault plan fits under the ceiling (tiny mean up and
+  // down times can ask for ~1e12 churn events); every other row keeps its
+  // drawn value.
+  while (p.fault.expected_events(static_cast<double>(p.num_nodes),
+                                 p.duration_s)
+             .total() > Parameters::kMaxFaultEvents) {
+    p.duration_s /= 2.0;
+  }
   return p;
 }
 

@@ -243,6 +243,10 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrors) {
       // range-checked the overlay integers.
       {"{\"config\":{\"maxnhops\":-2},\"seeds\":[1]}",
        "\"code\":\"bad_config\""},
+      // FaultPlan::compile would plan ~2.8e298 blackouts: bad_alloc before
+      // apply() bounded the expected fault events.
+      {"{\"config\":{\"link_blackout_rate\":1e300},\"seeds\":[1]}",
+       "\"code\":\"bad_config\""},
       // Would abort the worker in build() if apply() let it through.
       {"{\"config\":{\"num_nodes\":30,\"duration_s\":20,"
        "\"crash_run_at\":10,\"sim_threads\":2},\"seeds\":[1]}",
