@@ -1,12 +1,6 @@
 #include "core/hybrid.hpp"
 
-#include "util/log.hpp"
-
 namespace p2p::core {
-
-namespace {
-constexpr const char* kTag = "hybrid";
-}
 
 const char* hybrid_state_name(HybridState state) noexcept {
   switch (state) {
@@ -134,8 +128,6 @@ void HybridServent::handle_slave_accept(NodeId src) {
   disarm(tick_event_);
   establish(src, ConnKind::kSlave, /*initiator=*/true);
   send_msg(src, network().pools().make<SlaveConfirm>());
-  LOG_DEBUG(kTag, sim().now())
-      << "node " << self() << " becomes slave of " << src;
 }
 
 void HybridServent::handle_slave_confirm(NodeId src) {
@@ -162,7 +154,6 @@ void HybridServent::become_master() {
   state_ = HybridState::kMaster;
   search_.reset();
   arm_no_slave_watchdog();
-  LOG_DEBUG(kTag, sim().now()) << "node " << self() << " becomes master";
   schedule_tick(0.0);
 }
 
@@ -190,7 +181,6 @@ void HybridServent::on_crashed() {
 }
 
 void HybridServent::revert_to_initial() {
-  LOG_DEBUG(kTag, sim().now()) << "node " << self() << " reverts to initial";
   disarm(no_slave_event_);
   for (const NodeId peer : conns().peers_of_kind(ConnKind::kMaster)) {
     close_connection(peer, CloseReason::kLocalDecision, /*notify_peer=*/true);

@@ -3,13 +3,8 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace p2p::core {
-
-namespace {
-constexpr const char* kTag = "p2p";
-}
 
 const char* algorithm_name(AlgorithmKind kind) noexcept {
   switch (kind) {
@@ -122,11 +117,9 @@ void Servent::crash() {
   // next_query_id_ / next_probe_id_ survive so its new ids stay unique.
   seen_queries_.clear();
   on_crashed();
-  LOG_DEBUG(kTag, ctx_.sim->now()) << "node " << self() << " crashed";
 }
 
 void Servent::rejoin() {
-  LOG_DEBUG(kTag, ctx_.sim->now()) << "node " << self() << " rejoins";
   start();
 }
 
@@ -350,9 +343,6 @@ void Servent::handle_connect_ack(NodeId src, const ConnectAck& ack) {
 Connection& Servent::establish(NodeId peer, ConnKind kind, bool initiator) {
   Connection& conn = conns_.add(peer, kind, initiator, ctx_.sim->now());
   ++connections_established_;
-  LOG_DEBUG(kTag, ctx_.sim->now())
-      << "node " << self() << " + " << conn_kind_name(kind) << " conn to "
-      << peer << (initiator ? " (initiator)" : " (responder)");
   if (initiator || kind == ConnKind::kBasic) {
     arm(conn.ping_event, params_.ping_interval,
         [this, peer] { send_ping(peer); });
@@ -372,9 +362,6 @@ void Servent::close_connection(NodeId peer, CloseReason reason,
   disarm(conn->timeout_event);
   conns_.remove(peer);
   ++connections_closed_;
-  LOG_DEBUG(kTag, ctx_.sim->now())
-      << "node " << self() << " - " << conn_kind_name(kind) << " conn to "
-      << peer << " (" << close_reason_name(reason) << ")";
   if (notify_peer) send_msg(peer, ctx_.net->pools().make<Bye>());
   on_connection_closed(peer, kind, reason);
 }

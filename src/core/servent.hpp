@@ -157,7 +157,6 @@ class Servent {
   sim::Simulator& sim() noexcept { return *ctx_.sim; }
   net::Network& network() noexcept { return *ctx_.net; }
   sim::RngStream& rng() noexcept { return rng_; }
-  MessageCounters& counters_mut() noexcept { return counters_; }
 
   /// Cancel-and-rearm helper for the per-connection event slots.
   void arm(sim::EventId& slot, sim::SimTime delay, sim::EventFn fn);

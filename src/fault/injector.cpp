@@ -2,13 +2,7 @@
 
 #include <utility>
 
-#include "util/log.hpp"
-
 namespace p2p::fault {
-
-namespace {
-constexpr const char* kTag = "fault";
-}
 
 FaultInjector::FaultInjector(sim::Simulator& simulator, net::Network& network,
                              FaultPlan plan, FaultHooks hooks)
@@ -47,20 +41,16 @@ void FaultInjector::apply(const FaultEvent& event) {
       }
       net_->set_failed(event.a, true);
       ++stats_.crashes;
-      LOG_DEBUG(kTag, sim_->now()) << "node " << event.a << " crashed";
       if (hooks_.on_crash) hooks_.on_crash(event.a);
       break;
     case FaultKind::kNodeRecover:
       net_->set_failed(event.a, false);
       ++stats_.recoveries;
-      LOG_DEBUG(kTag, sim_->now()) << "node " << event.a << " recovered";
       if (hooks_.on_recover) hooks_.on_recover(event.a);
       break;
     case FaultKind::kLinkBlackout:
       net_->set_link_blackout(event.a, event.b, sim_->now() + event.value);
       ++stats_.blackouts;
-      LOG_DEBUG(kTag, sim_->now()) << "link " << event.a << "-" << event.b
-                                   << " black for " << event.value << " s";
       break;
     case FaultKind::kLossBurstStart:
       net_->set_burst_loss(event.value);

@@ -3,12 +3,9 @@
 #include <sstream>
 #include <utility>
 
-#include "util/log.hpp"
-
 namespace p2p::fault {
 
 namespace {
-constexpr const char* kTag = "invariant";
 // Recording cap: a genuinely broken build could report per node per sweep;
 // keep the vector bounded while the total count stays exact.
 constexpr std::size_t kMaxRecorded = 1024;
@@ -58,8 +55,6 @@ void InvariantChecker::note_node_up(net::NodeId id, sim::SimTime now) {
 void InvariantChecker::report(sim::SimTime time, net::NodeId node,
                               InvariantKind kind, std::string detail) {
   ++violations_total_;
-  LOG_DEBUG(kTag, time) << "node " << node << " " << invariant_kind_name(kind)
-                        << ": " << detail;
   if (violations_.size() < kMaxRecorded) {
     violations_.push_back({time, node, kind, std::move(detail)});
   }

@@ -28,8 +28,6 @@ enum class FaultKind : std::uint8_t {
   kLossBurstEnd,
 };
 
-const char* fault_kind_name(FaultKind kind) noexcept;
-
 struct FaultEvent {
   sim::SimTime time = 0.0;
   FaultKind kind = FaultKind::kNodeCrash;

@@ -1,9 +1,8 @@
 #include "mobility/trace.hpp"
 
-#include <sstream>
+#include <utility>
 
 #include "util/assert.hpp"
-#include "util/strings.hpp"
 
 namespace p2p::mobility {
 
@@ -38,43 +37,6 @@ geo::Vec2 TraceModel::position_at(sim::SimTime t) {
     pos = interpolate(steps_[i], pos, horizon);
   }
   return pos;
-}
-
-bool TraceModel::parse(std::string_view text, std::vector<TraceStep>* steps,
-                       std::string* error) {
-  P2P_ASSERT(steps != nullptr);
-  steps->clear();
-  int lineno = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    std::string_view line =
-        text.substr(pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    ++lineno;
-    line = util::trim(line);
-    if (line.empty() || line.front() == '#') continue;
-    std::istringstream is{std::string(line)};
-    TraceStep step;
-    if (!(is >> step.start_time >> step.target.x >> step.target.y >> step.speed)) {
-      if (error != nullptr) {
-        std::ostringstream os;
-        os << "line " << lineno << ": expected '<time> <x> <y> <speed>'";
-        *error = os.str();
-      }
-      return false;
-    }
-    if (!steps->empty() && steps->back().start_time > step.start_time) {
-      if (error != nullptr) {
-        std::ostringstream os;
-        os << "line " << lineno << ": steps out of chronological order";
-        *error = os.str();
-      }
-      return false;
-    }
-    steps->push_back(step);
-  }
-  return true;
 }
 
 }  // namespace p2p::mobility

@@ -1,12 +1,8 @@
 // Scripted mobility: play back an explicit waypoint schedule.
 //
-// Used by tests (deterministic link formation/breakage) and to import
-// ns-2 `setdest`-style movement files so scenarios can be replayed against
-// the original toolchain.
+// Used by tests for deterministic link formation and breakage.
 #pragma once
 
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "geo/vec2.hpp"
@@ -29,13 +25,6 @@ class TraceModel final : public MobilityModel {
   TraceModel(geo::Vec2 initial, std::vector<TraceStep> steps);
 
   geo::Vec2 position_at(sim::SimTime t) override;
-
-  /// Parse a simple text format, one step per line:
-  ///   <start_time> <x> <y> <speed>
-  /// Blank lines and '#' comments are skipped. Returns false on syntax
-  /// errors, leaving `error` with a description.
-  static bool parse(std::string_view text, std::vector<TraceStep>* steps,
-                    std::string* error);
 
  private:
   /// Position at time t assuming motion began at (t0, from) toward step s.

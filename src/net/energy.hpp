@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 
 namespace p2p::net {
@@ -31,29 +30,13 @@ class EnergyModel {
   bool alive() const noexcept { return consumed_ < params_.battery_j; }
 
   double consumed_j() const noexcept { return consumed_; }
-  double remaining_j() const noexcept {
-    return params_.battery_j == std::numeric_limits<double>::infinity()
-               ? params_.battery_j
-               : params_.battery_j - consumed_;
-  }
-  /// Remaining fraction in [0,1]; 1.0 for infinite batteries.
-  double remaining_fraction() const noexcept;
 
   void consume_tx(std::size_t bytes) noexcept;
   void consume_rx(std::size_t bytes) noexcept;
 
-  std::uint64_t frames_sent() const noexcept { return frames_sent_; }
-  std::uint64_t frames_received() const noexcept { return frames_received_; }
-  std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
-  std::uint64_t bytes_received() const noexcept { return bytes_received_; }
-
  private:
   EnergyParams params_;
   double consumed_ = 0.0;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_received_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t bytes_received_ = 0;
 };
 
 }  // namespace p2p::net

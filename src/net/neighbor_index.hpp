@@ -52,7 +52,6 @@ class NeighborIndex {
                        std::vector<NodeId>* out) const;
 
   sim::SimTime built_at() const noexcept { return built_at_; }
-  bool ever_built() const noexcept { return ever_built_; }
 
   /// Cached position of node `id` as of built_at() — the exact positions
   /// the CSR query arrays are built from. Sharded execution filters

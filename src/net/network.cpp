@@ -35,19 +35,12 @@ void Network::attach_listener(NodeId id, LinkListener* listener) {
   nodes_[id].listeners.push_back(listener);
 }
 
-// Out of line, like lane_position below: see the note there.
-[[gnu::noinline]] geo::Vec2 Network::position_of(NodeId id) {
+geo::Vec2 Network::position_of(NodeId id) {
   // Keyed to the *global* clock — forbidden inside a shard window (shard
   // lanes read the index's cached positions; see lane_position).
   P2P_DASSERT(tls_lane_ == nullptr);
   P2P_ASSERT(id < nodes_.size());
-  PosCache& cache = pos_cache_[id];
-  const sim::SimTime now = base_.sim->now();
-  if (cache.time != now) {
-    cache.pos = nodes_[id].mobility->position_at(now);
-    cache.time = now;
-  }
-  return cache.pos;
+  return sample_position_at(id, base_.sim->now());
 }
 
 // ---- lane-keyed model points: positions, liveness, receiver routing ----
@@ -56,11 +49,12 @@ void Network::attach_listener(NodeId id, LinkListener* listener) {
 // receiver. The shard side of each is [[unlikely]] so the base lane's code
 // is laid out first; to_outbox's queueing half stays out of line.
 //
-// lane_position and position_of stay out of line so that a position comes
-// back in two registers. Inlined into a caller, GCC (-O2) merges the two
-// position sources as one 16-byte value through the stack: two 8-byte
-// stores, then a 16-byte reload that stalls on store-to-load forwarding,
-// once per sampled position (docs/performance.md, "PR 25").
+// lane_position and sample_position_at (the memo body behind position_of)
+// stay out of line so that a position comes back in two registers.
+// Inlined into a caller, GCC (-O2) merges the two position sources as one
+// 16-byte value through the stack: two 8-byte stores, then a 16-byte
+// reload that stalls on store-to-load forwarding, once per sampled
+// position (docs/performance.md, "PR 25").
 
 [[gnu::noinline]] geo::Vec2 Network::lane_position(const Lane& lane,
                                                    NodeId id) {
@@ -493,8 +487,6 @@ std::size_t Network::memory_bytes() const noexcept {
 
 // ---- sharded (conservative parallel) execution ----------------------------
 
-thread_local Network::Lane* Network::tls_lane_ = nullptr;
-
 void Network::enable_sharding(std::vector<sim::Simulator*> shard_sims,
                               std::vector<std::uint32_t> home_shard,
                               std::vector<sim::RngStream> mac_rngs,
@@ -561,7 +553,8 @@ void Network::end_window(sim::SimTime /*end*/) {
   }
 }
 
-geo::Vec2 Network::sample_position_at(NodeId id, sim::SimTime t) {
+[[gnu::noinline]] geo::Vec2 Network::sample_position_at(NodeId id,
+                                                        sim::SimTime t) {
   PosCache& cache = pos_cache_[id];
   if (cache.time != t) {
     cache.pos = nodes_[id].mobility->position_at(t);

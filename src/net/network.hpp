@@ -348,7 +348,8 @@ class Network {
   void queue_in_outbox(Lane& lane, std::uint32_t dst, NodeId receiver,
                        const Frame& frame, sim::SimTime arrival);
 
-  /// position_of at an explicit instant (same per-node memo).
+  /// The per-node position memo, at an explicit instant; position_of is
+  /// this at the base lane's clock.
   geo::Vec2 sample_position_at(NodeId id, sim::SimTime t);
   /// Rebuild the spatial index if it is stale at `t`, sampling every
   /// position at `t` (warms the per-node position memo too). Sequential
@@ -419,7 +420,7 @@ class Network {
   /// Lane bound to the executing thread between enter_shard/exit_shard;
   /// null outside windows, which runs every entry point (broadcast,
   /// unicast, pools, in_range, ...) on the base lane.
-  static thread_local Lane* tls_lane_;
+  static constinit inline thread_local Lane* tls_lane_ = nullptr;
 };
 
 }  // namespace p2p::net

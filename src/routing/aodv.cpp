@@ -4,13 +4,8 @@
 #include <memory>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace p2p::routing {
-
-namespace {
-constexpr const char* kTag = "aodv";
-}
 
 AodvAgent::AodvAgent(sim::Simulator& simulator, net::Network& network,
                      NodeId self, const AodvParams& params)
@@ -89,8 +84,6 @@ void AodvAgent::send_rreq(NodeId dst, std::uint8_t ttl) {
   auto& pending = pending_[dst];
   pending.timeout = sim_->after(params_.ring_traversal_time(ttl),
                                 [this, dst] { discovery_timeout(dst); });
-  LOG_TRACE(kTag, sim_->now()) << "node " << self_ << " RREQ for " << dst
-                               << " ttl " << int{ttl};
 }
 
 void AodvAgent::discovery_timeout(NodeId dst) {
@@ -118,8 +111,6 @@ void AodvAgent::discovery_timeout(NodeId dst) {
       ++stats_.discoveries_failed;
       stats_.data_dropped += pending.queue.size();
       pending_.erase(it);
-      LOG_DEBUG(kTag, sim_->now())
-          << "node " << self_ << " discovery for " << dst << " failed";
       return;
     }
     --pending.retries_left;

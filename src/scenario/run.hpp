@@ -143,8 +143,6 @@ class SimulationRun final : public core::QueryRecorder {
   void build();
   sim::Simulator& simulator() noexcept { return sim_; }
   net::Network& network() noexcept { return *network_; }
-  /// Shard count this run executes with (1 = sequential single-Simulator).
-  std::size_t shard_count() const noexcept { return num_shards_; }
   core::Servent& servent(std::size_t member_index);
   std::size_t member_count() const noexcept { return members_.size(); }
   net::NodeId member_node(std::size_t member_index) const;

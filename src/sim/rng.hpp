@@ -92,8 +92,6 @@ class RngManager {
  public:
   explicit RngManager(std::uint64_t master_seed) : master_seed_(master_seed) {}
 
-  std::uint64_t master_seed() const noexcept { return master_seed_; }
-
   /// Stream for a named component. Same (seed, name) -> same stream.
   RngStream stream(std::string_view name) const {
     return RngStream(splitmix64(master_seed_ ^ fnv1a(name)));

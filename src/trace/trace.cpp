@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <ostream>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -25,32 +24,6 @@ void Writer::record(const Record& record) {
     (*os_) << record.peer;
   }
   (*os_) << ' ' << record.size_bytes << '\n';
-}
-
-bool Writer::parse_line(const std::string& line, Record* out) {
-  P2P_ASSERT(out != nullptr);
-  std::istringstream is(line);
-  char code = 0;
-  std::string peer;
-  if (!(is >> code >> out->time >> out->node >> peer >> out->size_bytes)) {
-    return false;
-  }
-  switch (code) {
-    case 's': out->kind = EventKind::kTransmit; break;
-    case 'r': out->kind = EventKind::kDeliver; break;
-    case 'd': out->kind = EventKind::kDrop; break;
-    default: return false;
-  }
-  if (peer == "bcast") {
-    out->peer = net::kBroadcast;
-  } else {
-    try {
-      out->peer = static_cast<net::NodeId>(std::stoul(peer));
-    } catch (...) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void Counter::record(const Record& record) {

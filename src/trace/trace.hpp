@@ -3,16 +3,15 @@
 // post-processed from it.
 //
 // The Network emits one record per transmit / delivery / drop when a sink
-// is attached (zero overhead otherwise). TraceWriter renders an ns-2-like
-// line format; TraceCounter aggregates in memory for tests and quick
-// statistics.
+// is attached (zero overhead otherwise). Writer renders an ns-2-like line
+// format for post-processing outside the simulator; Counter aggregates in
+// memory for tests and quick statistics.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
-#include <string>
 
 #include "net/types.hpp"
 #include "sim/time.hpp"
@@ -47,10 +46,6 @@ class Writer final : public Sink {
  public:
   explicit Writer(std::ostream& os) : os_(&os) {}
   void record(const Record& record) override;
-
-  /// Parse one rendered line back (round-trip tooling / tests). Returns
-  /// false on malformed input.
-  static bool parse_line(const std::string& line, Record* out);
 
  private:
   std::ostream* os_;

@@ -43,8 +43,6 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object;
 
   bool is_null() const noexcept { return kind == Kind::kNull; }
-  bool is_bool() const noexcept { return kind == Kind::kBool; }
-  bool is_number() const noexcept { return kind == Kind::kNumber; }
   bool is_string() const noexcept { return kind == Kind::kString; }
   bool is_array() const noexcept { return kind == Kind::kArray; }
   bool is_object() const noexcept { return kind == Kind::kObject; }

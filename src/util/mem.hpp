@@ -1,26 +1,17 @@
-// Process-memory probes for the mega-scale benches and memory telemetry.
+// Process-memory probe for the mega-scale benches.
 //
-// Two views, deliberately distinct:
-//  - peak_rss_bytes(): OS-reported high-water mark of resident memory for
-//    the whole process (getrusage). This is the number the megascale bench
-//    records — it captures everything, allocator slack included, and is
-//    what actually limits how many nodes fit on a machine.
-//  - current_rss_bytes(): instantaneous resident set (/proc/self/statm),
-//    useful for before/after deltas around a single build.
-//
-// Both return 0 on platforms where the probe is unavailable rather than
-// failing — callers treat 0 as "not measured".
+// peak_rss_bytes(): OS-reported high-water mark of resident memory for the
+// whole process (getrusage). This is the number the megascale bench
+// records — it captures everything, allocator slack included, and is what
+// actually limits how many nodes fit on a machine. It returns 0 on
+// platforms where the probe is unavailable rather than failing — callers
+// treat 0 as "not measured".
 #pragma once
 
 #include <cstddef>
 
 #if defined(__linux__) || defined(__APPLE__)
 #include <sys/resource.h>
-#endif
-#if defined(__linux__)
-#include <unistd.h>
-
-#include <cstdio>
 #endif
 
 namespace p2p::util {
@@ -35,23 +26,6 @@ inline std::size_t peak_rss_bytes() noexcept {
 #else
   return static_cast<std::size_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
 #endif
-#else
-  return 0;
-#endif
-}
-
-/// Current resident set size of this process, in bytes (0 if unavailable).
-inline std::size_t current_rss_bytes() noexcept {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long long total = 0, resident = 0;
-  const int got = std::fscanf(f, "%llu %llu", &total, &resident);
-  std::fclose(f);
-  if (got != 2) return 0;
-  const long page = sysconf(_SC_PAGESIZE);
-  return static_cast<std::size_t>(resident) *
-         static_cast<std::size_t>(page > 0 ? page : 4096);
 #else
   return 0;
 #endif

@@ -12,7 +12,6 @@ TEST(Energy, DefaultBatteryIsInfinite) {
   EnergyModel model;
   for (int i = 0; i < 1000; ++i) model.consume_tx(1500);
   EXPECT_TRUE(model.alive());
-  EXPECT_DOUBLE_EQ(model.remaining_fraction(), 1.0);
 }
 
 TEST(Energy, LinearCostModel) {
@@ -41,27 +40,6 @@ TEST(Energy, DiesWhenBatteryEmpty) {
   EXPECT_TRUE(model.alive());  // 9 < 10
   model.consume_tx(0);
   EXPECT_FALSE(model.alive());  // 12 >= 10
-}
-
-TEST(Energy, RemainingFractionClampsToZero) {
-  EnergyParams params;
-  params.battery_j = 1.0;
-  params.tx_base_j = 2.0;
-  EnergyModel model(params);
-  model.consume_tx(0);
-  EXPECT_DOUBLE_EQ(model.remaining_fraction(), 0.0);
-  EXPECT_LT(model.remaining_j(), 0.0);
-}
-
-TEST(Energy, CountsFramesAndBytes) {
-  EnergyModel model;
-  model.consume_tx(100);
-  model.consume_tx(50);
-  model.consume_rx(25);
-  EXPECT_EQ(model.frames_sent(), 2U);
-  EXPECT_EQ(model.frames_received(), 1U);
-  EXPECT_EQ(model.bytes_sent(), 150U);
-  EXPECT_EQ(model.bytes_received(), 25U);
 }
 
 TEST(Energy, RxAndTxCostsAreIndependent) {

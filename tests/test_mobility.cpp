@@ -181,27 +181,4 @@ TEST(TraceModel, LaterStepPreemptsUnfinishedMove) {
   EXPECT_NEAR(later.y, 5.0, 1e-9);
 }
 
-TEST(TraceModel, ParseValidInput) {
-  std::vector<TraceStep> steps;
-  std::string error;
-  ASSERT_TRUE(TraceModel::parse("# comment\n0 1 2 0.5\n\n10 3 4 1\n", &steps,
-                                &error))
-      << error;
-  ASSERT_EQ(steps.size(), 2U);
-  EXPECT_DOUBLE_EQ(steps[0].start_time, 0.0);
-  EXPECT_DOUBLE_EQ(steps[0].target.x, 1.0);
-  EXPECT_DOUBLE_EQ(steps[0].target.y, 2.0);
-  EXPECT_DOUBLE_EQ(steps[0].speed, 0.5);
-  EXPECT_DOUBLE_EQ(steps[1].start_time, 10.0);
-}
-
-TEST(TraceModel, ParseRejectsGarbageAndDisorder) {
-  std::vector<TraceStep> steps;
-  std::string error;
-  EXPECT_FALSE(TraceModel::parse("0 1 2\n", &steps, &error));  // missing field
-  EXPECT_NE(error.find("line 1"), std::string::npos);
-  EXPECT_FALSE(TraceModel::parse("5 1 1 1\n2 0 0 1\n", &steps, &error));
-  EXPECT_NE(error.find("order"), std::string::npos);
-}
-
 }  // namespace

@@ -128,7 +128,9 @@ TEST(Network, UnicastOutOfRangeIsSilentlyLost) {
   EXPECT_EQ(f.received(b), 0U);
   EXPECT_EQ(f.net->frames_lost(), 1U);
   // The sender still paid transmit energy (radios don't know).
-  EXPECT_EQ(f.net->energy(a).frames_sent(), 1U);
+  const net::EnergyParams energy;
+  EXPECT_DOUBLE_EQ(f.net->energy(a).consumed_j(),
+                   energy.tx_base_j + 32 * energy.tx_per_byte_j);
 }
 
 TEST(Network, DeliveryIsDelayedNotImmediate) {
@@ -223,7 +225,7 @@ TEST(Network, FrameThatEmptiesBatteryIsTheLastDelivered) {
   f.net->broadcast(a, net::make_payload<const TestPayload>(3), 100);
   f.sim.run();
   EXPECT_EQ(f.received(b), 2U);
-  EXPECT_EQ(f.net->energy(b).frames_received(), 2U);
+  EXPECT_DOUBLE_EQ(f.net->energy(b).consumed_j(), 2 * rx_cost);
   EXPECT_EQ(f.net->frames_delivered(), 2U);
 }
 
@@ -233,10 +235,11 @@ TEST(Network, EnergyChargedForTxAndRx) {
   const NodeId b = f.add(5, 0);
   f.net->broadcast(a, net::make_payload<const TestPayload>(1), 100);
   f.sim.run();
-  EXPECT_GT(f.net->energy(a).consumed_j(), 0.0);
-  EXPECT_GT(f.net->energy(b).consumed_j(), 0.0);
-  EXPECT_EQ(f.net->energy(a).bytes_sent(), 100U);
-  EXPECT_EQ(f.net->energy(b).bytes_received(), 100U);
+  const net::EnergyParams energy;
+  EXPECT_DOUBLE_EQ(f.net->energy(a).consumed_j(),
+                   energy.tx_base_j + 100 * energy.tx_per_byte_j);
+  EXPECT_DOUBLE_EQ(f.net->energy(b).consumed_j(),
+                   energy.rx_base_j + 100 * energy.rx_per_byte_j);
 }
 
 TEST(Network, NeighborsOfMatchesInRange) {
@@ -746,8 +749,8 @@ TEST(Network, WindowedDeliverySkipsNodesFailedBeforeTheWindow) {
   EXPECT_EQ(f.received(same_live), 1U);
   EXPECT_EQ(f.received(cross_live), 1U);
   EXPECT_EQ(f.net->frames_delivered(), 2U);
-  EXPECT_EQ(f.net->energy(same_dead).frames_received(), 0U);
-  EXPECT_EQ(f.net->energy(cross_dead).frames_received(), 0U);
+  EXPECT_DOUBLE_EQ(f.net->energy(same_dead).consumed_j(), 0.0);
+  EXPECT_DOUBLE_EQ(f.net->energy(cross_dead).consumed_j(), 0.0);
 }
 
 // Inside a shard window liveness is the window-start snapshot: a battery
@@ -820,7 +823,7 @@ TEST(Network, WindowedBatteryDeathFlipsAtTheBarrier) {
     EXPECT_EQ(f.received(b), 3U);
     EXPECT_EQ(f.net->frames_transmitted(), c.sender_dies ? 3U : 4U);
     EXPECT_EQ(f.net->frames_delivered(), 3U);
-    EXPECT_EQ(f.net->energy(b).frames_received(), 3U);
+    EXPECT_DOUBLE_EQ(f.net->energy(b).consumed_j(), 3 * rx_cost);
   }
 }
 

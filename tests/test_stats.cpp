@@ -1,5 +1,5 @@
 // Statistics: RunningStat (incl. merge & restore), confidence intervals,
-// SortedCurve aggregation, Histogram, Table rendering.
+// SortedCurve aggregation, Table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 
 #include "sim/rng.hpp"
 #include "stats/fairness.hpp"
-#include "stats/histogram.hpp"
 #include "stats/running_stat.hpp"
 #include "stats/sorted_curve.hpp"
 #include "stats/table.hpp"
@@ -147,41 +146,6 @@ TEST(SortedCurve, RestoreRoundTrips) {
   EXPECT_EQ(restored.runs(), 2U);
   EXPECT_DOUBLE_EQ(restored.mean_at(0), 4.0);
   EXPECT_DOUBLE_EQ(restored.ci95_at(0), curve.ci95_at(0));
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 1.0, 5);
-  h.add(0.5);
-  h.add(1.0);   // falls in bin [1,2)
-  h.add(4.99);
-  h.add(5.0);   // overflow
-  h.add(-0.1);  // underflow
-  EXPECT_EQ(h.count(), 5U);
-  EXPECT_EQ(h.bin_count(0), 1U);
-  EXPECT_EQ(h.bin_count(1), 1U);
-  EXPECT_EQ(h.bin_count(4), 1U);
-  EXPECT_EQ(h.overflow(), 1U);
-  EXPECT_EQ(h.underflow(), 1U);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 3.0);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 1.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) / 10.0);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 0.6);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1e-9);
-  EXPECT_GE(h.quantile(1.0), 9.0);
-}
-
-TEST(Histogram, RenderShowsBars) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.5);
-  h.add(0.5);
-  h.add(1.5);
-  const std::string text = h.render(10);
-  EXPECT_NE(text.find("##########"), std::string::npos);
-  EXPECT_NE(text.find(" 2"), std::string::npos);
 }
 
 TEST(Table, PrintAligned) {

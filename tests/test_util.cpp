@@ -18,14 +18,6 @@ TEST(Strings, Trim) {
   EXPECT_EQ(trim("   "), "");
 }
 
-TEST(Strings, Split) {
-  EXPECT_EQ(split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(split("abc", ','), (std::vector<std::string>{"abc"}));
-  EXPECT_EQ(split(",", ','), (std::vector<std::string>{"", ""}));
-}
-
 TEST(Strings, ParseInt) {
   EXPECT_EQ(parse_int("42"), 42);
   EXPECT_EQ(parse_int("-17"), -17);
@@ -55,18 +47,6 @@ TEST(Strings, ParseBool) {
   EXPECT_EQ(parse_bool("0"), false);
   EXPECT_EQ(parse_bool("off"), false);
   EXPECT_FALSE(parse_bool("maybe"));
-}
-
-TEST(Strings, ToLowerAndJoin) {
-  EXPECT_EQ(to_lower("AbC-12"), "abc-12");
-  EXPECT_EQ(join(std::vector<int>{1, 2, 3}, ", "), "1, 2, 3");
-  EXPECT_EQ(join(std::vector<int>{}, ","), "");
-}
-
-TEST(Strings, Format) {
-  EXPECT_EQ(format("x=%d y=%.1f", 3, 2.5), "x=3 y=2.5");
-  EXPECT_EQ(format("%s", "plain"), "plain");
-  EXPECT_EQ(format("empty"), "empty");
 }
 
 TEST(Config, SetAndGet) {

@@ -136,6 +136,35 @@ def run_perfbench(tree, workload, seconds, cpus):
     return [{"workload": workload, "result": json.loads(lines[-1])}], None
 
 
+def remove_worktrees(repo, trees, scratch):
+    """Unregister the worktrees from `repo` and delete `scratch`, which
+    holds them. `git worktree remove` refuses a half-deleted tree (its .git
+    file gone, say by an interrupted delete), so `git worktree prune` runs
+    after the delete. Warns about every failed remove and every tree still
+    registered."""
+    for tree in trees:
+        proc = subprocess.run(["git", "-C", repo, "worktree", "remove",
+                               "--force", tree], capture_output=True,
+                              text=True)
+        if proc.returncode != 0:
+            sys.stderr.write("ab: warning: git worktree remove %s exited %d "
+                             "(pruning instead): %s\n" % (
+                                 tree, proc.returncode, proc.stderr.strip()))
+    shutil.rmtree(scratch, ignore_errors=True)
+    subprocess.run(["git", "-C", repo, "worktree", "prune"],
+                   capture_output=True)
+    listed = subprocess.run(["git", "-C", repo, "worktree", "list",
+                             "--porcelain"], capture_output=True,
+                            text=True).stdout
+    registered = {os.path.realpath(line[len("worktree "):])
+                  for line in listed.splitlines()
+                  if line.startswith("worktree ")}
+    for tree in trees:
+        if os.path.realpath(tree) in registered:
+            sys.stderr.write("ab: warning: worktree %s is still registered "
+                             "in %s\n" % (tree, repo))
+
+
 def run_ab(rev_a, rev_b):
     revs = dict(zip(SIDES, (git("rev-parse", "--verify", rev + "^{commit}")
                             for rev in (rev_a, rev_b))))
@@ -186,10 +215,7 @@ def run_ab(rev_a, rev_b):
                                  time.monotonic() - t0,
                                  "  FAILED" if error else ""), flush=True)
     finally:
-        for tree in trees.values():
-            subprocess.run(["git", "-C", REPO, "worktree", "remove",
-                            "--force", tree], capture_output=True)
-        shutil.rmtree(scratch, ignore_errors=True)
+        remove_worktrees(REPO, list(trees.values()), scratch)
     print("ab: %.1f min wall" % ((time.monotonic() - started) / 60))
     status = report(raw_path)
     print("ab: raw runs in %s" % raw_path)
