@@ -74,7 +74,8 @@ Record bench_aodv_storm(std::size_t nodes, double side, double sim_seconds,
   rec.wall_s = 1e100;
   for (int r = 0; r < repeat; ++r) {
     AodvWorld world(nodes, side);
-    const auto payload = net::make_payload<const ProbePayload>();
+    const net::Ref<const ProbePayload> payload =
+        world.net->pools().make<ProbePayload>();
     // Every 50 ms, four rotating sources each unicast to a destination
     // roughly half the id space away — far enough that most pairs need a
     // multi-hop route, i.e. a discovery. The stride constants are coprime

@@ -180,7 +180,8 @@ Record bench_storm(const char* name, std::size_t nodes, double sim_seconds,
   rec.wall_s = 1e100;
   for (int r = 0; r < repeat; ++r) {
     StormWorld world(nodes, 100.0, 0.05, 0.2);
-    const auto payload = net::make_payload<const StormPayload>();
+    const net::Ref<const StormPayload> payload =
+        world.net->pools().make<StormPayload>();
     // Storm driver: every 100 ms, eight rotating roots flood 6 hops deep.
     struct Driver {
       StormWorld* world;

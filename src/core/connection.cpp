@@ -15,17 +15,6 @@ const char* conn_kind_name(ConnKind kind) noexcept {
   return "?";
 }
 
-const char* close_reason_name(CloseReason reason) noexcept {
-  switch (reason) {
-    case CloseReason::kPongTimeout: return "pong-timeout";
-    case CloseReason::kSilenceTimeout: return "silence-timeout";
-    case CloseReason::kTooFar: return "too-far";
-    case CloseReason::kPeerClosed: return "peer-closed";
-    case CloseReason::kLocalDecision: return "local-decision";
-  }
-  return "?";
-}
-
 Connection& ConnectionTable::add(NodeId peer, ConnKind kind, bool initiator,
                                  sim::SimTime now) {
   P2P_ASSERT_MSG(!connected(peer), "duplicate connection to peer");

@@ -38,8 +38,6 @@ enum class CloseReason : std::uint8_t {
   kLocalDecision,  // algorithm closed it (e.g. master reverting to initial)
 };
 
-const char* close_reason_name(CloseReason reason) noexcept;
-
 struct Connection {
   NodeId peer = net::kInvalidNode;
   ConnKind kind = ConnKind::kRegular;

@@ -21,8 +21,6 @@ namespace p2p::core {
 
 enum class HybridState : std::uint8_t { kInitial, kMaster, kSlave, kReserved };
 
-const char* hybrid_state_name(HybridState state) noexcept;
-
 class HybridServent final : public Servent {
  public:
   HybridServent(const ServentContext& ctx, const P2pParams& params,

@@ -16,26 +16,6 @@ const char* algorithm_name(AlgorithmKind kind) noexcept {
   return "?";
 }
 
-const char* msg_type_name(MsgType type) noexcept {
-  switch (type) {
-    case MsgType::kConnectProbe: return "connect-probe";
-    case MsgType::kConnectOffer: return "connect-offer";
-    case MsgType::kConnectRequest: return "connect-request";
-    case MsgType::kConnectAck: return "connect-ack";
-    case MsgType::kPing: return "ping";
-    case MsgType::kPong: return "pong";
-    case MsgType::kQuery: return "query";
-    case MsgType::kQueryHit: return "query-hit";
-    case MsgType::kCapture: return "capture";
-    case MsgType::kSlaveRequest: return "slave-request";
-    case MsgType::kSlaveAccept: return "slave-accept";
-    case MsgType::kSlaveConfirm: return "slave-confirm";
-    case MsgType::kSlaveReject: return "slave-reject";
-    case MsgType::kBye: return "bye";
-  }
-  return "?";
-}
-
 bool is_connect_message(MsgType type) noexcept {
   switch (type) {
     case MsgType::kConnectProbe:
@@ -510,20 +490,13 @@ void Servent::handle_query(NodeId src, const Query& query) {
   }
 }
 
-int Servent::physical_distance_to(NodeId other) {
-  // Hot on query-heavy runs (one BFS per query hit): the network owns one
-  // epoch-memoized adjacency snapshot shared by all servents, instead of
-  // each servent rebuilding (and keeping resident) its own copy.
-  return ctx_.net->physical_hop_distance(self(), other);
-}
-
 void Servent::handle_query_hit(NodeId /*src*/, const QueryHit& hit) {
   if (!has_pending_query_ || pending_qid_ != hit.query_id) {
     return;  // response window already closed
   }
   PendingQuery& pending = pending_query_;
   ++pending.answers;
-  const int phys = physical_distance_to(hit.holder);
+  const int phys = ctx_.net->physical_hop_distance(self(), hit.holder);
   if (phys >= 0 &&
       (pending.min_physical < 0 || phys < pending.min_physical)) {
     pending.min_physical = phys;

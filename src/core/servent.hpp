@@ -32,7 +32,7 @@ namespace p2p::core {
 struct ServentContext {
   sim::Simulator* sim = nullptr;
   net::Network* net = nullptr;
-  routing::RoutingService* routing = nullptr;  // AODV or DSDV
+  routing::RoutingService* routing = nullptr;  // AODV, DSDV or DSR
   routing::FloodService* flood = nullptr;
   NodeId self = net::kInvalidNode;
 };
@@ -202,7 +202,6 @@ class Servent {
   void issue_query();
   void finalize_query(std::uint64_t query_id);
   void schedule_next_query(sim::SimTime delay);
-  int physical_distance_to(NodeId other);
 
   ServentContext ctx_;
   P2pParams params_;

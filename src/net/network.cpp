@@ -489,13 +489,11 @@ std::size_t Network::memory_bytes() const noexcept {
 
 void Network::enable_sharding(std::vector<sim::Simulator*> shard_sims,
                               std::vector<std::uint32_t> home_shard,
-                              std::vector<sim::RngStream> mac_rngs,
-                              FrameCloner cloner) {
+                              std::vector<sim::RngStream> mac_rngs) {
   P2P_ASSERT_MSG(lanes_.empty(), "sharding already enabled");
   P2P_ASSERT_MSG(shard_sims.size() >= 2, "sharding needs >= 2 shards");
   P2P_ASSERT(shard_sims.size() == mac_rngs.size());
   P2P_ASSERT(home_shard.size() == nodes_.size());
-  P2P_ASSERT(cloner != nullptr);
   P2P_ASSERT_MSG(observer_ == nullptr, "observer incompatible with sharding");
   P2P_ASSERT_MSG(base_.frames_tx == 0 && base_.frames_rx == 0,
                  "enable_sharding must precede any traffic");
@@ -508,7 +506,6 @@ void Network::enable_sharding(std::vector<sim::Simulator*> shard_sims,
     lanes_.emplace_back(shard_sims[s], std::move(mac_rngs[s]));
   }
   home_shard_ = std::move(home_shard);
-  cloner_ = cloner;
 }
 
 void Network::enter_shard(std::size_t shard) noexcept {
@@ -533,7 +530,7 @@ void Network::end_window(sim::SimTime /*end*/) {
     for (std::size_t i = 0; i < lane.outbox_used; ++i) {
       OutMsg& msg = lane.outbox[i];
       Lane& dst = lanes_[msg.dst_shard];
-      FramePayloadPtr clone = cloner_(*msg.payload, *dst.pools);
+      FramePayloadPtr clone = dst.pools->copy_of(*msg.payload);
       const std::uint32_t batch = acquire_batch(dst);
       dst.batch_pool[batch].assign(msg.receivers.begin(), msg.receivers.end());
       Frame frame{msg.sender, msg.link_dst, msg.size_bytes, std::move(clone)};

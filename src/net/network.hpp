@@ -155,18 +155,14 @@ class Network {
   //     so liveness stays the window-start snapshot all window;
   //   * receiver routing (to_outbox): a shard lane queues a receiver homed
   //     on another shard in its outbox, merged at the barrier in fixed
-  //     shard order; the base lane delivers every receiver itself;
+  //     shard order, where the pool that made the frame's payload copies
+  //     it into the destination lane's pools (PayloadPools::copy_of); the
+  //     base lane delivers every receiver itself;
   //   * the observer, which is simply null in sharded mode.
   // The sharded mode is therefore a (deterministic) model variant selected
   // by the shard count, not a bit-identical replay of the sequential
   // schedule — what IS bit-identical is the same shard count across any
   // thread counts.
-
-  /// Deep-copies a frame payload (and any nested app payload) into `pools`.
-  /// Installed by the scenario layer, which sees the concrete payload
-  /// types; the net layer stays below routing.
-  using FrameCloner = FramePayloadPtr (*)(const FramePayload& src,
-                                          PayloadPools& pools);
 
   /// Switch into sharded mode: one Simulator and one mac RNG stream per
   /// shard, `home_shard[id]` the shard whose lane executes node id's
@@ -175,8 +171,7 @@ class Network {
   /// sequential path).
   void enable_sharding(std::vector<sim::Simulator*> shard_sims,
                        std::vector<std::uint32_t> home_shard,
-                       std::vector<sim::RngStream> mac_rngs,
-                       FrameCloner cloner);
+                       std::vector<sim::RngStream> mac_rngs);
   /// Index of the lane bound to the calling thread, or kNoShard outside a
   /// window — lets upper layers keep per-shard accumulators for state that
   /// servents in different lanes would otherwise write concurrently.
@@ -416,7 +411,6 @@ class Network {
   // Shard lanes (empty = sequential; see enable_sharding).
   std::vector<Lane> lanes_;
   std::vector<std::uint32_t> home_shard_;
-  FrameCloner cloner_ = nullptr;
   /// Lane bound to the executing thread between enter_shard/exit_shard;
   /// null outside windows, which runs every entry point (broadcast,
   /// unicast, pools, in_range, ...) on the base lane.

@@ -14,9 +14,13 @@
 //   * A payload is mutable (via `Ref::edit()`) only between acquisition
 //     and first publication (send/broadcast/store); after that it is
 //     immutable and may be held past handler return by anyone.
-//   * When the last Ref drops, a pooled payload is reset to its
-//     default-constructed state and its slot recycled; a heap payload
-//     (`make_payload`, used by tests/benches without a Network) is deleted.
+//   * Every payload comes from a pool (`PayloadPools::make`/`make_from`;
+//     tests and benches without a Network use a local PayloadPools). When
+//     the last Ref drops, the payload is reset to its default-constructed
+//     state and its slot recycled.
+//   * The pool that made a payload can copy it into another PayloadPools
+//     (`PayloadPools::copy_of`), nested `app` payload included — the
+//     sharded barrier's cross-lane copy, with no list of payload types.
 //   * Pools outlive their payloads, not their owner: the owning
 //     PayloadPools may be destroyed while frames queued in the simulator
 //     still hold Refs (Network is destroyed before the Simulator in
@@ -34,11 +38,10 @@
 
 namespace p2p::net {
 
+class PayloadPools;
 class PoolBase;
 template <typename T>
 class Ref;
-template <typename T, typename... Args>
-Ref<T> make_payload(Args&&... args);
 
 /// Intrusive refcount base. Copying a payload copies its *data*, never its
 /// identity: the copy ctor leaves the new object unowned (count 0, no
@@ -52,16 +55,13 @@ class RefCountBase {
   virtual ~RefCountBase() = default;
 
  private:
+  friend class PayloadPools;
   friend class PoolBase;
   template <typename T>
   friend class Ref;
-  template <typename T, typename... Args>
-  friend Ref<T> make_payload(Args&&... args);
-  template <typename T>
-  friend class Pool;
 
   mutable std::uint32_t rc_count_ = 0;
-  mutable PoolBase* rc_home_ = nullptr;  // nullptr = plain heap allocation
+  mutable PoolBase* rc_home_ = nullptr;  // the pool that made this payload
 };
 
 /// Type-erased pool: recycling target for released payloads, kept alive by
@@ -97,6 +97,10 @@ class PoolBase {
   friend class PayloadPools;
 
   virtual void recycle(RefCountBase* obj) noexcept = 0;
+  /// Copy of `obj` (one of this pool's payloads) acquired from `dst`,
+  /// refcount 1, with any nested `app` payload copied into `dst` too.
+  virtual RefCountBase* copy_into(const RefCountBase& obj,
+                                  PayloadPools& dst) const = 0;
   /// Last Ref to a pooled payload dropped: reset the slot, then release
   /// the payload's hold on the pool.
   void release_payload(const RefCountBase& obj) noexcept {
@@ -116,7 +120,7 @@ class Ref {
   Ref() noexcept = default;
   Ref(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  /// Take ownership of an object whose count is already 1 (pool/heap
+  /// Take ownership of an object whose count is already 1 (pool
   /// acquisition paths only).
   static Ref adopt(T* obj) noexcept {
     Ref ref;
@@ -189,38 +193,22 @@ class Ref {
  private:
   template <typename U>
   friend class Ref;
+  template <typename U>
+  friend class Pool;
 
   void retain() noexcept {
     if (obj_ != nullptr) ++obj_->rc_count_;
   }
   void release() noexcept {
-    if (obj_ == nullptr || --obj_->rc_count_ > 0) return;
-    if (obj_->rc_home_ != nullptr) {
+    if (obj_ != nullptr && --obj_->rc_count_ == 0) {
       obj_->rc_home_->release_payload(*obj_);
-    } else {
-      destroy(obj_);
     }
   }
-
-  // Heap payloads (make_payload) only; no simulation path frees one. Out
-  // of line because an inlined delete makes GCC 12's -Wuse-after-free flag
-  // every later use of another Ref to the same object: it cannot see that
-  // the shared count stayed positive.
-  [[gnu::noinline]] static void destroy(T* obj) noexcept { delete obj; }
+  /// Hand the reference to the caller as a raw pointer (count unchanged).
+  T* detach() noexcept { return std::exchange(obj_, nullptr); }
 
   T* obj_ = nullptr;
 };
-
-/// Heap-allocated payload with no pool behind it — for tests, benches and
-/// one-off construction sites that have no Network at hand. Costs a malloc
-/// like the old make_shared, so hot paths use PayloadPools::make instead.
-template <typename T, typename... Args>
-Ref<T> make_payload(Args&&... args) {
-  T* obj = new T(std::forward<Args>(args)...);
-  obj->rc_count_ = 1;
-  obj->rc_home_ = nullptr;
-  return Ref<T>::adopt(obj);
-}
 
 /// Slab/freelist pool for one payload type. Objects are default-
 /// constructed in chunks of 64; a released object is reset to `T{}` (which
@@ -259,6 +247,8 @@ class Pool final : public PoolBase {
     *slot = T{};  // ownership fields survive (assignment is rc-neutral)
     free_.push_back(slot);
   }
+  RefCountBase* copy_into(const RefCountBase& obj,
+                          PayloadPools& dst) const override;
 
   std::vector<std::unique_ptr<T[]>> chunks_;
   std::vector<T*> free_;
@@ -293,6 +283,15 @@ class PayloadPools {
     Ref<std::decay_t<T>> ref = pool<std::decay_t<T>>().acquire();
     *ref.edit() = std::forward<T>(value);
     return ref;
+  }
+
+  /// Copy of `src` in these pools, made by the pool that made `src` (so
+  /// the static type may be a base such as FramePayload): one acquisition,
+  /// plus one for a nested `app` payload.
+  template <typename T>
+  Ref<T> copy_of(const T& src) {
+    return Ref<T>::adopt(
+        static_cast<T*>(src.rc_home_->copy_into(src, *this)));
   }
 
   struct Stats {
@@ -333,5 +332,16 @@ class PayloadPools {
 
   std::vector<PoolBase*> pools_;
 };
+
+template <typename T>
+RefCountBase* Pool<T>::copy_into(const RefCountBase& obj,
+                                 PayloadPools& dst) const {
+  const T& src = static_cast<const T&>(obj);
+  Ref<T> copy = dst.make_from(src);
+  if constexpr (requires { src.app; }) {
+    if (src.app) copy.edit()->app = dst.copy_of(*src.app);
+  }
+  return copy.detach();
+}
 
 }  // namespace p2p::net

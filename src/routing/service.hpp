@@ -1,6 +1,6 @@
 // Routing service interface — what the application layer (and the flood
 // service's cross-layer hint) sees, independent of the routing protocol
-// underneath. AODV (on-demand) and DSDV (proactive) both implement it,
+// underneath. AODV and DSR (on-demand) and DSDV (proactive) implement it,
 // which is exactly the experiment of Oliveira et al. [13 in the paper]:
 // evaluating ad-hoc routing protocols under a peer-to-peer application.
 #pragma once

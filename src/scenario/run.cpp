@@ -15,7 +15,6 @@
 #include "mobility/gauss_markov.hpp"
 #include "mobility/random_direction.hpp"
 #include "mobility/random_waypoint.hpp"
-#include "scenario/payload_clone.hpp"
 #include "sim/sharded.hpp"
 #include "util/assert.hpp"
 
@@ -118,7 +117,7 @@ void SimulationRun::build() {
       mac_rngs.push_back(rngs_.stream("mac", s));
     }
     network_->enable_sharding(std::move(raw_sims), home_shard_,
-                              std::move(mac_rngs), &clone_frame_payload);
+                              std::move(mac_rngs));
   }
 
   // Routing stack, each agent on its node's home Simulator.

@@ -313,11 +313,4 @@ void append_json_string(std::string* out, std::string_view s) {
   out->push_back('"');
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  append_json_string(&out, s);
-  return out;
-}
-
 }  // namespace p2p::util

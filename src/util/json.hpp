@@ -73,7 +73,4 @@ bool parse_json(std::string_view text, JsonValue* out, std::string* error,
 /// characters and '"'/'\\' escaped) to `out`.
 void append_json_string(std::string* out, std::string_view s);
 
-/// Convenience: quoted/escaped copy of `s`.
-std::string json_quote(std::string_view s);
-
 }  // namespace p2p::util

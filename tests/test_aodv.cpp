@@ -22,6 +22,7 @@ using routing::RoutingTable;
 
 struct AppMsg final : net::AppPayload {
   int tag = 0;
+  AppMsg() = default;
   explicit AppMsg(int t) : tag(t) {}
   std::size_t size_bytes() const noexcept override { return 23; }
 };
@@ -111,7 +112,7 @@ TEST(RoutingTable, RefreshExtendsLifetimeOnly) {
 
 TEST(Aodv, DeliversOverMultipleHops) {
   LineWorld world(5);
-  world.agents[0]->send(4, net::make_payload<const AppMsg>(7));
+  world.agents[0]->send(4, world.net->pools().make_from(AppMsg(7)));
   world.sim.run_until(30.0);
   ASSERT_EQ(world.delivered[4].size(), 1U);
   EXPECT_EQ(world.delivered[4][0].src, 0U);
@@ -122,12 +123,12 @@ TEST(Aodv, DeliversOverMultipleHops) {
 
 TEST(Aodv, SecondSendReusesRoute) {
   LineWorld world(4);
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(1)));
   // Stay inside ACTIVE_ROUTE_TIMEOUT so the route is still fresh.
   world.sim.run_until(3.0);
   ASSERT_EQ(world.delivered[3].size(), 1U);
   const auto rreqs_after_first = world.agents[0]->stats().rreq_originated;
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(2));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(2)));
   world.sim.run_until(6.0);
   EXPECT_EQ(world.agents[0]->stats().rreq_originated, rreqs_after_first);
   ASSERT_EQ(world.delivered[3].size(), 2U);
@@ -138,14 +139,14 @@ TEST(Aodv, RouteExpiresAfterActiveRouteTimeout) {
   params.active_route_timeout = 5.0;
   params.my_route_timeout = 5.0;  // RREP-granted lifetime
   LineWorld world(4, params);
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(3.0);
   EXPECT_TRUE(world.agents[0]->has_route(3));
   world.sim.run_until(20.0);  // idle past the lifetime
   EXPECT_FALSE(world.agents[0]->has_route(3));
   // A later send transparently rediscovers.
   const auto rreqs = world.agents[0]->stats().rreq_originated;
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(2));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(2)));
   world.sim.run_until(25.0);
   EXPECT_GT(world.agents[0]->stats().rreq_originated, rreqs);
   EXPECT_EQ(world.delivered[3].size(), 2U);
@@ -153,7 +154,7 @@ TEST(Aodv, RouteExpiresAfterActiveRouteTimeout) {
 
 TEST(Aodv, ReverseRouteInstalledAtDestination) {
   LineWorld world(4);
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(3.0);
   // The RREQ flood gave node 3 a route back to node 0 (checked while the
   // reverse-route lifetime is still running).
@@ -167,7 +168,7 @@ TEST(Aodv, ExpandingRingEventuallyReachesFarNodes) {
   params.ttl_increment = 2;
   params.ttl_threshold = 3;
   LineWorld world(8, params);  // 7 hops away: beyond the threshold rings
-  world.agents[0]->send(7, net::make_payload<const AppMsg>(5));
+  world.agents[0]->send(7, world.net->pools().make_from(AppMsg(5)));
   world.sim.run_until(60.0);
   ASSERT_EQ(world.delivered[7].size(), 1U);
   // Needed several rings: more than one RREQ originated.
@@ -181,7 +182,7 @@ TEST(Aodv, DiscoveryForUnreachableNodeFailsAndDropsPacket) {
       std::make_unique<mobility::StaticModel>(geo::Vec2{5000.0, 10.0}));
   AodvParams params;
   AodvAgent island_agent(world.sim, *world.net, island, params);
-  world.agents[0]->send(island, net::make_payload<const AppMsg>(9));
+  world.agents[0]->send(island, world.net->pools().make_from(AppMsg(9)));
   world.sim.run_until(120.0);
   EXPECT_GE(world.agents[0]->stats().discoveries_failed, 1U);
   EXPECT_GE(world.agents[0]->stats().data_dropped, 1U);
@@ -192,7 +193,7 @@ TEST(Aodv, LearnRouteEnablesSendWithoutDiscovery) {
   // Teach every hop manually: 0 -> 1 -> 2.
   world.agents[0]->learn_route(2, 1, 2);
   world.agents[1]->learn_route(2, 2, 1);
-  world.agents[0]->send(2, net::make_payload<const AppMsg>(3));
+  world.agents[0]->send(2, world.net->pools().make_from(AppMsg(3)));
   world.sim.run_until(5.0);
   ASSERT_EQ(world.delivered[2].size(), 1U);
   EXPECT_EQ(world.agents[0]->stats().rreq_originated, 0U);
@@ -228,14 +229,14 @@ TEST(Aodv, LinkBreakTriggersRediscoveryOnNextSend) {
         delivered_tags.push_back(dynamic_cast<const AppMsg*>(app.get())->tag);
       });
 
-  agents[n0]->send(n2, net::make_payload<const AppMsg>(1));
+  agents[n0]->send(n2, network.pools().make_from(AppMsg(1)));
   sim.run_until(5.0);
   ASSERT_EQ(delivered_tags.size(), 1U);
 
   // n1 teleports away at t=10; send again afterwards: AODV must detect the
   // broken next hop and rediscover via n3.
   sim.run_until(20.0);
-  agents[n0]->send(n2, net::make_payload<const AppMsg>(2));
+  agents[n0]->send(n2, network.pools().make_from(AppMsg(2)));
   sim.run_until(60.0);
   ASSERT_EQ(delivered_tags.size(), 2U);
   EXPECT_EQ(delivered_tags[1], 2);
@@ -248,14 +249,14 @@ TEST(Aodv, QueueLimitDropsOldest) {
   // Make the destination unreachable so packets stay queued.
   world.net->set_failed(1, true);
   for (int i = 0; i < 5; ++i) {
-    world.agents[0]->send(1, net::make_payload<const AppMsg>(i));
+    world.agents[0]->send(1, world.net->pools().make_from(AppMsg(i)));
   }
   EXPECT_EQ(world.agents[0]->stats().data_dropped, 3U);
 }
 
 TEST(Aodv, StatsCountForwarding) {
   LineWorld world(4);
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(30.0);
   EXPECT_EQ(world.agents[1]->stats().data_forwarded +
                 world.agents[2]->stats().data_forwarded,

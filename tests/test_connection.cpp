@@ -3,7 +3,6 @@
 
 #include "core/connection.hpp"
 #include "core/counters.hpp"
-#include "core/hybrid.hpp"
 #include "core/messages.hpp"
 #include "core/params.hpp"
 
@@ -60,11 +59,7 @@ TEST(ConnectionTable, ConstFind) {
 TEST(Names, EnumsHaveReadableNames) {
   EXPECT_STREQ(conn_kind_name(ConnKind::kBasic), "basic");
   EXPECT_STREQ(conn_kind_name(ConnKind::kRandom), "random");
-  EXPECT_STREQ(close_reason_name(CloseReason::kTooFar), "too-far");
-  EXPECT_STREQ(close_reason_name(CloseReason::kPeerClosed), "peer-closed");
   EXPECT_STREQ(algorithm_name(AlgorithmKind::kHybrid), "Hybrid");
-  EXPECT_STREQ(msg_type_name(MsgType::kQueryHit), "query-hit");
-  EXPECT_STREQ(hybrid_state_name(HybridState::kReserved), "reserved");
 }
 
 TEST(Messages, ConnectClassificationMatchesFigure7) {

@@ -20,6 +20,7 @@ using routing::DsdvParams;
 
 struct AppMsg final : net::AppPayload {
   int tag = 0;
+  AppMsg() = default;
   explicit AppMsg(int t) : tag(t) {}
   std::size_t size_bytes() const noexcept override { return 23; }
 };
@@ -66,7 +67,7 @@ TEST(Dsdv, DeliversMultiHopOnceConverged) {
   params.periodic_update_interval = 5.0;
   LineWorld world(4, params);
   world.sim.run_until(30.0);
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(7));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(7)));
   world.sim.run_until(35.0);
   ASSERT_EQ(world.delivered[3].size(), 1U);
   EXPECT_EQ(world.delivered[3][0].first, 0U);
@@ -77,7 +78,7 @@ TEST(Dsdv, DropsWhenNotYetConverged) {
   DsdvParams params;
   params.periodic_update_interval = 50.0;  // no dump yet
   LineWorld world(4, params);
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(5.0);
   EXPECT_TRUE(world.delivered[3].empty());
   EXPECT_EQ(world.agents[0]->stats().data_dropped, 1U);
@@ -123,13 +124,13 @@ TEST(Dsdv, LinkBreakMarksRoutesAndRecoves) {
         delivered.push_back(dynamic_cast<const AppMsg*>(app.get())->tag);
       });
   sim.run_until(25.0);
-  agents[n0]->send(n2, net::make_payload<const AppMsg>(1));
+  agents[n0]->send(n2, network.pools().make_from(AppMsg(1)));
   sim.run_until(29.0);
   ASSERT_EQ(delivered.size(), 1U);
   // n1 leaves at t=30. After stale timeouts + new dumps, n0 must reach n2
   // through n3.
   sim.run_until(120.0);
-  agents[n0]->send(n2, net::make_payload<const AppMsg>(2));
+  agents[n0]->send(n2, network.pools().make_from(AppMsg(2)));
   sim.run_until(130.0);
   ASSERT_EQ(delivered.size(), 2U);
   EXPECT_EQ(delivered[1], 2);

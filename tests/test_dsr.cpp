@@ -20,6 +20,7 @@ using routing::DsrParams;
 
 struct AppMsg final : net::AppPayload {
   int tag = 0;
+  AppMsg() = default;
   explicit AppMsg(int t) : tag(t) {}
   std::size_t size_bytes() const noexcept override { return 23; }
 };
@@ -50,7 +51,7 @@ struct LineWorld {
 
 TEST(Dsr, DiscoversAndDeliversOverMultipleHops) {
   LineWorld world(5);
-  world.agents[0]->send(4, net::make_payload<const AppMsg>(7));
+  world.agents[0]->send(4, world.net->pools().make_from(AppMsg(7)));
   world.sim.run_until(10.0);
   ASSERT_EQ(world.delivered[4].size(), 1U);
   EXPECT_EQ(world.delivered[4][0].first, 0U);
@@ -62,7 +63,7 @@ TEST(Dsr, DiscoversAndDeliversOverMultipleHops) {
 
 TEST(Dsr, TargetLearnsReversePath) {
   LineWorld world(4);
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(10.0);
   // The target cached the reverse source route when replying.
   EXPECT_TRUE(world.agents[3]->has_route(0));
@@ -71,10 +72,10 @@ TEST(Dsr, TargetLearnsReversePath) {
 
 TEST(Dsr, CacheAvoidsSecondDiscovery) {
   LineWorld world(4);
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(5.0);
   const auto rreqs = world.agents[0]->stats().rreq_originated;
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(2));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(2)));
   world.sim.run_until(8.0);
   EXPECT_EQ(world.agents[0]->stats().rreq_originated, rreqs);
   EXPECT_GE(world.agents[0]->stats().cache_hits, 1U);
@@ -85,7 +86,7 @@ TEST(Dsr, CachedRouteExpires) {
   DsrParams params;
   params.route_lifetime = 5.0;
   LineWorld world(3, params);
-  world.agents[0]->send(2, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(2, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(3.0);
   EXPECT_TRUE(world.agents[0]->has_route(2));
   world.sim.run_until(20.0);
@@ -126,15 +127,15 @@ TEST(Dsr, LinkBreakSendsRerrAndPurgesCaches) {
       [&](NodeId, net::AppPayloadPtr app, int) {
         delivered.push_back(dynamic_cast<const AppMsg*>(app.get())->tag);
       });
-  agents[n0]->send(n2, net::make_payload<const AppMsg>(1));
+  agents[n0]->send(n2, network.pools().make_from(AppMsg(1)));
   sim.run_until(5.0);
   ASSERT_EQ(delivered.size(), 1U);
   // n1 leaves at t=10; the stale cached route breaks at its first hop or
   // mid-route; DSR purges and rediscovers via n3.
   sim.run_until(20.0);
-  agents[n0]->send(n2, net::make_payload<const AppMsg>(2));
+  agents[n0]->send(n2, network.pools().make_from(AppMsg(2)));
   sim.run_until(40.0);
-  agents[n0]->send(n2, net::make_payload<const AppMsg>(3));
+  agents[n0]->send(n2, network.pools().make_from(AppMsg(3)));
   sim.run_until(60.0);
   ASSERT_GE(delivered.size(), 2U);
   EXPECT_EQ(delivered.back(), 3);
@@ -143,7 +144,7 @@ TEST(Dsr, LinkBreakSendsRerrAndPurgesCaches) {
 TEST(Dsr, DiscoveryFailureDropsQueuedPackets) {
   LineWorld world(2);
   world.net->set_failed(1, true);
-  world.agents[0]->send(1, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(1, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(30.0);
   EXPECT_GE(world.agents[0]->stats().discoveries_failed, 1U);
   EXPECT_GE(world.agents[0]->stats().data_dropped, 1U);
@@ -154,19 +155,19 @@ TEST(Dsr, MaxRouteLenBoundsDiscovery) {
   DsrParams params;
   params.max_route_len = 2;  // at most 2 intermediate hops accumulate
   LineWorld world(6, params);
-  world.agents[0]->send(5, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(5, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(30.0);
   // 5 hops away needs 4 intermediates: unreachable under the bound.
   EXPECT_TRUE(world.delivered[5].empty());
   // 3 hops away (2 intermediates) still works.
-  world.agents[0]->send(3, net::make_payload<const AppMsg>(2));
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(2)));
   world.sim.run_until(60.0);
   EXPECT_EQ(world.delivered[3].size(), 1U);
 }
 
 TEST(Dsr, TelemetryContract) {
   LineWorld world(3);
-  world.agents[0]->send(2, net::make_payload<const AppMsg>(1));
+  world.agents[0]->send(2, world.net->pools().make_from(AppMsg(1)));
   world.sim.run_until(10.0);
   const auto telemetry = world.agents[0]->telemetry();
   EXPECT_GT(telemetry.control_messages_sent, 0U);

@@ -151,7 +151,7 @@ TEST(FaultCrash, RebornNodeForwardsFloodsAgain) {
         });
   }
 
-  world.flood(0).flood(net::make_payload<const TestPayload>(), 4);
+  world.flood(0).flood(world.network().pools().make<TestPayload>(), 4);
   world.sim().run();
   EXPECT_EQ(received[4], 1);
   EXPECT_GT(world.flood(2).dup_cache().size(), 0U);
@@ -166,7 +166,7 @@ TEST(FaultCrash, RebornNodeForwardsFloodsAgain) {
   EXPECT_EQ(world.aodv(2).table().all().size(), 0U);
 
   // While node 2 is down the line is cut: nodes 3/4 are unreachable.
-  world.flood(0).flood(net::make_payload<const TestPayload>(), 4);
+  world.flood(0).flood(world.network().pools().make<TestPayload>(), 4);
   world.sim().run();
   EXPECT_EQ(received[1], 2);
   EXPECT_EQ(received[3], 1);
@@ -174,7 +174,7 @@ TEST(FaultCrash, RebornNodeForwardsFloodsAgain) {
 
   // Reborn: the next flood must be forwarded across node 2 again.
   world.network().set_failed(2, false);
-  world.flood(0).flood(net::make_payload<const TestPayload>(), 4);
+  world.flood(0).flood(world.network().pools().make<TestPayload>(), 4);
   world.sim().run();
   EXPECT_EQ(received[2], 2);  // down during the second flood
   EXPECT_EQ(received[3], 2);
@@ -196,17 +196,17 @@ TEST(FaultCrash, DeadNodeStaysSilentWhileSpatiallyIndexed) {
           ++received[i];
         });
   }
-  world.flood(0).flood(net::make_payload<const TestPayload>(), 1);
+  world.flood(0).flood(world.network().pools().make<TestPayload>(), 1);
   world.sim().run();
   ASSERT_EQ(received[1], 1);  // index built, link works
 
   world.network().set_failed(1, true);
-  world.flood(0).flood(net::make_payload<const TestPayload>(), 1);
+  world.flood(0).flood(world.network().pools().make<TestPayload>(), 1);
   world.sim().run();
   EXPECT_EQ(received[1], 1);  // still a spatial candidate, yet silent
 
   world.network().set_failed(1, false);
-  world.flood(0).flood(net::make_payload<const TestPayload>(), 1);
+  world.flood(0).flood(world.network().pools().make<TestPayload>(), 1);
   world.sim().run();
   EXPECT_EQ(received[1], 2);  // rebirth needs no index surgery either
 }

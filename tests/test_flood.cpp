@@ -19,6 +19,7 @@ using routing::FloodService;
 
 struct AppMsg final : net::AppPayload {
   int tag = 0;
+  AppMsg() = default;
   explicit AppMsg(int t) : tag(t) {}
   std::size_t size_bytes() const noexcept override { return 23; }
 };
@@ -63,7 +64,7 @@ struct FloodWorld {
 
 TEST(Flood, MaxHopsOneReachesDirectNeighborsOnly) {
   FloodWorld world(5);
-  world.floods[1]->flood(net::make_payload<const AppMsg>(1), 1);
+  world.floods[1]->flood(world.net->pools().make_from(AppMsg(1)), 1);
   world.sim.run();
   EXPECT_EQ(world.received[0].size(), 1U);
   EXPECT_EQ(world.received[2].size(), 1U);
@@ -74,7 +75,7 @@ TEST(Flood, MaxHopsOneReachesDirectNeighborsOnly) {
 
 TEST(Flood, HopLimitBoundsReach) {
   FloodWorld world(6);
-  world.floods[0]->flood(net::make_payload<const AppMsg>(1), 3);
+  world.floods[0]->flood(world.net->pools().make_from(AppMsg(1)), 3);
   world.sim.run();
   EXPECT_EQ(world.received[1].size(), 1U);
   EXPECT_EQ(world.received[2].size(), 1U);
@@ -85,7 +86,7 @@ TEST(Flood, HopLimitBoundsReach) {
 
 TEST(Flood, HopsTraveledMatchesLineDistance) {
   FloodWorld world(5);
-  world.floods[0]->flood(net::make_payload<const AppMsg>(9), 4);
+  world.floods[0]->flood(world.net->pools().make_from(AppMsg(9)), 4);
   world.sim.run();
   for (std::size_t i = 1; i < 5; ++i) {
     ASSERT_EQ(world.received[i].size(), 1U) << "node " << i;
@@ -111,7 +112,7 @@ TEST(Flood, EachNodeDeliversEachFloodOnce) {
     floods.back()->set_receive_handler(
         [&count, i](NodeId, net::AppPayloadPtr, int) { ++count[i]; });
   }
-  floods[0]->flood(net::make_payload<const AppMsg>(1), 6);
+  floods[0]->flood(network.pools().make_from(AppMsg(1)), 6);
   sim.run();
   for (std::size_t i = 1; i < 6; ++i) EXPECT_EQ(count[i], 1) << "node " << i;
   EXPECT_EQ(count[0], 0);
@@ -120,8 +121,8 @@ TEST(Flood, EachNodeDeliversEachFloodOnce) {
 
 TEST(Flood, SeparateFloodsDeliverSeparately) {
   FloodWorld world(3);
-  world.floods[0]->flood(net::make_payload<const AppMsg>(1), 2);
-  world.floods[0]->flood(net::make_payload<const AppMsg>(2), 2);
+  world.floods[0]->flood(world.net->pools().make_from(AppMsg(1)), 2);
+  world.floods[0]->flood(world.net->pools().make_from(AppMsg(2)), 2);
   world.sim.run();
   ASSERT_EQ(world.received[1].size(), 2U);
   EXPECT_NE(world.received[1][0].tag, world.received[1][1].tag);
@@ -129,19 +130,19 @@ TEST(Flood, SeparateFloodsDeliverSeparately) {
 
 TEST(Flood, InstallsReverseRouteViaAodvHint) {
   FloodWorld world(5);
-  world.floods[0]->flood(net::make_payload<const AppMsg>(1), 4);
+  world.floods[0]->flood(world.net->pools().make_from(AppMsg(1)), 4);
   world.sim.run();
   // Node 4 can now answer node 0 without any route discovery.
   EXPECT_TRUE(world.aodv[4]->has_route(0));
   EXPECT_EQ(world.aodv[4]->route_hops(0), 4);
-  world.aodv[4]->send(0, net::make_payload<const AppMsg>(2));
+  world.aodv[4]->send(0, world.net->pools().make_from(AppMsg(2)));
   world.sim.run_until(world.sim.now() + 10.0);
   EXPECT_EQ(world.aodv[4]->stats().rreq_originated, 0U);
 }
 
 TEST(Flood, WorksWithoutAodv) {
   FloodWorld world(3, /*with_aodv=*/false);
-  world.floods[0]->flood(net::make_payload<const AppMsg>(1), 2);
+  world.floods[0]->flood(world.net->pools().make_from(AppMsg(1)), 2);
   world.sim.run();
   EXPECT_EQ(world.received[1].size(), 1U);
   EXPECT_EQ(world.received[2].size(), 1U);
@@ -149,7 +150,7 @@ TEST(Flood, WorksWithoutAodv) {
 
 TEST(Flood, StatsAccounting) {
   FloodWorld world(4);
-  world.floods[0]->flood(net::make_payload<const AppMsg>(1), 3);
+  world.floods[0]->flood(world.net->pools().make_from(AppMsg(1)), 3);
   world.sim.run();
   EXPECT_EQ(world.floods[0]->stats().originated, 1U);
   EXPECT_EQ(world.floods[1]->stats().delivered, 1U);

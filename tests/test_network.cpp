@@ -30,6 +30,7 @@ using net::NodeId;
 
 struct TestPayload final : FramePayload {
   int tag = 0;
+  TestPayload() = default;
   explicit TestPayload(int t) : tag(t) {}
 };
 
@@ -81,7 +82,7 @@ TEST(Network, BroadcastReachesOnlyInRangeNodes) {
   const NodeId b = f.add(5, 0);
   const NodeId c = f.add(9, 0);
   const NodeId d = f.add(15, 0);
-  f.net->broadcast(a, net::make_payload<const TestPayload>(1), 64);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(1)), 64);
   f.sim.run();
   EXPECT_EQ(f.received(a), 0U);  // no self-delivery
   EXPECT_EQ(f.received(b), 1U);
@@ -95,7 +96,7 @@ TEST(Network, BroadcastFrameCarriesSenderAndPayload) {
   Fixture f;
   const NodeId a = f.add(0, 0);
   const NodeId b = f.add(5, 0);
-  f.net->broadcast(a, net::make_payload<const TestPayload>(42), 64);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(42)), 64);
   f.sim.run();
   ASSERT_EQ(f.received(b), 1U);
   const Frame& frame = f.recorders[b]->frames[0];
@@ -112,7 +113,7 @@ TEST(Network, UnicastReachesOnlyTheAddressee) {
   const NodeId a = f.add(0, 0);
   const NodeId b = f.add(5, 0);
   const NodeId c = f.add(5, 1);
-  f.net->unicast(a, b, net::make_payload<const TestPayload>(1), 32);
+  f.net->unicast(a, b, f.net->pools().make_from(TestPayload(1)), 32);
   f.sim.run();
   EXPECT_EQ(f.received(b), 1U);
   EXPECT_EQ(f.received(c), 0U);
@@ -123,7 +124,7 @@ TEST(Network, UnicastOutOfRangeIsSilentlyLost) {
   Fixture f;
   const NodeId a = f.add(0, 0);
   const NodeId b = f.add(50, 0);
-  f.net->unicast(a, b, net::make_payload<const TestPayload>(1), 32);
+  f.net->unicast(a, b, f.net->pools().make_from(TestPayload(1)), 32);
   f.sim.run();
   EXPECT_EQ(f.received(b), 0U);
   EXPECT_EQ(f.net->frames_lost(), 1U);
@@ -137,7 +138,7 @@ TEST(Network, DeliveryIsDelayedNotImmediate) {
   Fixture f;
   const NodeId a = f.add(0, 0);
   const NodeId b = f.add(5, 0);
-  f.net->broadcast(a, net::make_payload<const TestPayload>(1), 64);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(1)), 64);
   EXPECT_EQ(f.received(b), 0U);  // nothing until events run
   f.sim.run();
   EXPECT_EQ(f.received(b), 1U);
@@ -149,8 +150,8 @@ TEST(Network, HalfDuplexSerializesTransmissions) {
   const NodeId a = f.add(0, 0);
   f.add(5, 0);
   // Two back-to-back broadcasts: second arrival strictly after first.
-  f.net->broadcast(a, net::make_payload<const TestPayload>(1), 1500);
-  f.net->broadcast(a, net::make_payload<const TestPayload>(2), 1500);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(1)), 1500);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(2)), 1500);
   std::vector<double> arrivals;
   // Run and capture arrival times via the simulator clock at delivery.
   f.sim.run();
@@ -171,8 +172,8 @@ TEST(Network, LossProbabilityOneDropsEverything) {
       network.add_node(std::make_unique<mobility::StaticModel>(geo::Vec2{5, 0}));
   Recorder recorder;
   network.attach_listener(b, &recorder);
-  network.broadcast(a, net::make_payload<const TestPayload>(1), 64);
-  network.unicast(a, b, net::make_payload<const TestPayload>(2), 64);
+  network.broadcast(a, network.pools().make_from(TestPayload(1)), 64);
+  network.unicast(a, b, network.pools().make_from(TestPayload(2)), 64);
   sim.run();
   EXPECT_TRUE(recorder.frames.empty());
   EXPECT_EQ(network.frames_lost(), 2U);
@@ -184,16 +185,16 @@ TEST(Network, FailedNodeNeitherSendsNorReceives) {
   const NodeId b = f.add(5, 0);
   f.net->set_failed(b, true);
   EXPECT_FALSE(f.net->alive(b));
-  f.net->broadcast(a, net::make_payload<const TestPayload>(1), 64);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(1)), 64);
   f.sim.run();
   EXPECT_EQ(f.received(b), 0U);
 
-  f.net->broadcast(b, net::make_payload<const TestPayload>(2), 64);
+  f.net->broadcast(b, f.net->pools().make_from(TestPayload(2)), 64);
   f.sim.run();
   EXPECT_EQ(f.received(a), 0U);
 
   f.net->set_failed(b, false);
-  f.net->broadcast(a, net::make_payload<const TestPayload>(3), 64);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(3)), 64);
   f.sim.run();
   EXPECT_EQ(f.received(b), 1U);
 }
@@ -212,17 +213,17 @@ TEST(Network, FrameThatEmptiesBatteryIsTheLastDelivered) {
   f.recorders.push_back(std::make_unique<Recorder>());
   f.net->attach_listener(b, f.recorders.back().get());
 
-  f.net->broadcast(a, net::make_payload<const TestPayload>(1), 100);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(1)), 100);
   f.sim.run();
   EXPECT_EQ(f.received(b), 1U);
   EXPECT_TRUE(f.net->alive(b));
 
-  f.net->broadcast(a, net::make_payload<const TestPayload>(2), 100);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(2)), 100);
   f.sim.run();
   EXPECT_EQ(f.received(b), 2U);  // this receive emptied the battery
   EXPECT_FALSE(f.net->alive(b));
 
-  f.net->broadcast(a, net::make_payload<const TestPayload>(3), 100);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(3)), 100);
   f.sim.run();
   EXPECT_EQ(f.received(b), 2U);
   EXPECT_DOUBLE_EQ(f.net->energy(b).consumed_j(), 2 * rx_cost);
@@ -233,7 +234,7 @@ TEST(Network, EnergyChargedForTxAndRx) {
   Fixture f;
   const NodeId a = f.add(0, 0);
   const NodeId b = f.add(5, 0);
-  f.net->broadcast(a, net::make_payload<const TestPayload>(1), 100);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(1)), 100);
   f.sim.run();
   const net::EnergyParams energy;
   EXPECT_DOUBLE_EQ(f.net->energy(a).consumed_j(),
@@ -281,7 +282,7 @@ TEST(Network, MultipleListenersAllReceive) {
   const NodeId b = f.add(5, 0);
   Recorder extra;
   f.net->attach_listener(b, &extra);
-  f.net->broadcast(a, net::make_payload<const TestPayload>(1), 64);
+  f.net->broadcast(a, f.net->pools().make_from(TestPayload(1)), 64);
   f.sim.run();
   EXPECT_EQ(f.received(b), 1U);
   EXPECT_EQ(extra.frames.size(), 1U);
@@ -316,7 +317,7 @@ TEST(Network, GrayZoneDropsSomeEdgeFramesButNotInnerOnes) {
   network.attach_listener(edge, &edge_rec);
   const int kFrames = 200;
   for (int i = 0; i < kFrames; ++i) {
-    network.broadcast(a, net::make_payload<const TestPayload>(i), 32);
+    network.broadcast(a, network.pools().make_from(TestPayload(i)), 32);
   }
   sim.run();
   // Inside the solid zone: everything arrives. On the edge (p = 0.25):
@@ -383,7 +384,7 @@ TEST(Network, BatchedBroadcastMatchesPerReceiverDeliveryOrder) {
   const std::uint64_t before = f.sim.events_scheduled();
   const int kFrames = 3;
   for (int i = 0; i < kFrames; ++i) {
-    f.net->broadcast(a, net::make_payload<const TestPayload>(i), 64);
+    f.net->broadcast(a, f.net->pools().make_from(TestPayload(i)), 64);
   }
   // One arrival event per transmission, regardless of receiver count.
   EXPECT_EQ(f.sim.events_scheduled() - before,
@@ -454,7 +455,7 @@ TEST(Network, BatchedBroadcastMatchesPerReceiverChannelDraws) {
   }
 
   for (int i = 0; i < kFrames; ++i) {
-    network.broadcast(sender, net::make_payload<const TestPayload>(i), 64);
+    network.broadcast(sender, network.pools().make_from(TestPayload(i)), 64);
   }
   sim.run();
 
@@ -529,11 +530,7 @@ TEST(Network, WindowLinkQueriesMatchSequentialOnStaticWorld) {
   std::vector<sim::RngStream> rngs;
   rngs.emplace_back(11);
   rngs.emplace_back(12);
-  // No traffic crosses shards here, so the cloner is never called.
-  f.net->enable_sharding({&shard0, &shard1}, std::move(home), std::move(rngs),
-                         [](const FramePayload&, net::PayloadPools&) {
-                           return net::FramePayloadPtr();
-                         });
+  f.net->enable_sharding({&shard0, &shard1}, std::move(home), std::move(rngs));
   f.net->begin_window(0.0, 1.0);
   f.net->enter_shard(0);
   EXPECT_EQ(f.net->current_shard(), 0U);
@@ -572,7 +569,7 @@ TEST(Network, BurstLossComposesWithBaseLoss) {
       }
     }
     void send(int tag) {
-      net->broadcast(0, net::make_payload<const TestPayload>(tag), 64);
+      net->broadcast(0, net->pools().make_from(TestPayload(tag)), 64);
       sim.run();
     }
   };
@@ -632,7 +629,7 @@ TEST(Network, BlackoutEndsAtItsUntil) {
     }
     void send(int first, int count) {
       for (int tag = first; tag < first + count; ++tag) {
-        net->broadcast(0, net::make_payload<const TestPayload>(tag), 64);
+        net->broadcast(0, net->pools().make_from(TestPayload(tag)), 64);
       }
     }
     std::size_t reached(NodeId id) const {
@@ -658,8 +655,7 @@ TEST(Network, BlackoutEndsAtItsUntil) {
 
   // Inside a window: the blackout holds in the window before its end and is
   // gone in the window that starts at it. Sharding precedes any traffic,
-  // so the windowed twins are fresh. Every node lives on shard 0: no frame
-  // crosses shards and the cloner is never called.
+  // so the windowed twins are fresh. Every node lives on shard 0.
   Twin c;
   Twin d;  // never blacked out
   for (Twin* t : {&c, &d}) {
@@ -668,10 +664,7 @@ TEST(Network, BlackoutEndsAtItsUntil) {
     rngs.emplace_back(12);
     t->net->enable_sharding({&t->shard0, &t->shard1},
                             std::vector<std::uint32_t>(t->recs.size(), 0),
-                            std::move(rngs),
-                            [](const FramePayload&, net::PayloadPools&) {
-                              return net::FramePayloadPtr();
-                            });
+                            std::move(rngs));
   }
   c.net->set_link_blackout(0, 1, 5.0);
   for (Twin* t : {&c, &d}) {
@@ -712,21 +705,16 @@ TEST(Network, WindowedDeliverySkipsNodesFailedBeforeTheWindow) {
   std::vector<sim::RngStream> rngs;
   rngs.emplace_back(11);
   rngs.emplace_back(12);
-  f.net->enable_sharding(
-      {&shard0, &shard1}, {0, 0, 0, 1, 1}, std::move(rngs),
-      [](const FramePayload& src, net::PayloadPools&) -> net::FramePayloadPtr {
-        return net::make_payload<const TestPayload>(
-            static_cast<const TestPayload&>(src).tag);
-      });
+  f.net->enable_sharding({&shard0, &shard1}, {0, 0, 0, 1, 1}, std::move(rngs));
 
   // Window 1: the sender transmits while every receiver is alive.
   const double lookahead = net::min_frame_latency(f.params.mac);
   f.net->begin_window(0.0, lookahead);
   f.net->enter_shard(0);
-  f.net->broadcast(sender, net::make_payload<const TestPayload>(1), 64);
-  f.net->unicast(sender, same_dead, net::make_payload<const TestPayload>(2),
+  f.net->broadcast(sender, f.net->pools().make_from(TestPayload(1)), 64);
+  f.net->unicast(sender, same_dead, f.net->pools().make_from(TestPayload(2)),
                  64);
-  f.net->unicast(sender, cross_dead, net::make_payload<const TestPayload>(3),
+  f.net->unicast(sender, cross_dead, f.net->pools().make_from(TestPayload(3)),
                  64);
   f.net->exit_shard();
   f.net->end_window(lookahead);
@@ -759,7 +747,7 @@ TEST(Network, WindowedDeliverySkipsNodesFailedBeforeTheWindow) {
 // later frame in the same window is delivered too (sequentially it would
 // not be), and alive() turns false only after end_window. The same holds
 // for a transmit that empties the sender's battery. Both nodes live on
-// shard 0: no frame crosses shards and the cloner is never called.
+// shard 0.
 TEST(Network, WindowedBatteryDeathFlipsAtTheBarrier) {
   const net::EnergyParams defaults;
   const double rx_cost = defaults.rx_base_j + 100 * defaults.rx_per_byte_j;
@@ -791,16 +779,13 @@ TEST(Network, WindowedBatteryDeathFlipsAtTheBarrier) {
     std::vector<sim::RngStream> rngs;
     rngs.emplace_back(11);
     rngs.emplace_back(12);
-    f.net->enable_sharding({&shard0, &shard1}, {0, 0}, std::move(rngs),
-                           [](const FramePayload&, net::PayloadPools&) {
-                             return net::FramePayloadPtr();
-                           });
+    f.net->enable_sharding({&shard0, &shard1}, {0, 0}, std::move(rngs));
 
     // Window 1: three frames; the second empties the battery.
     f.net->begin_window(0.0, 1.0);
     f.net->enter_shard(0);
     for (int tag = 1; tag <= 3; ++tag) {
-      f.net->broadcast(a, net::make_payload<const TestPayload>(tag), 100);
+      f.net->broadcast(a, f.net->pools().make_from(TestPayload(tag)), 100);
     }
     shard0.run_window(1.0);
     EXPECT_FALSE(f.net->energy(dying).alive());
@@ -816,7 +801,7 @@ TEST(Network, WindowedBatteryDeathFlipsAtTheBarrier) {
     // Window 2: the node is down now, so nothing more gets through.
     f.net->begin_window(1.0, 2.0);
     f.net->enter_shard(0);
-    f.net->broadcast(a, net::make_payload<const TestPayload>(4), 100);
+    f.net->broadcast(a, f.net->pools().make_from(TestPayload(4)), 100);
     shard0.run_window(2.0);
     f.net->exit_shard();
     f.net->end_window(2.0);

@@ -1,7 +1,8 @@
 // Payload pool unit and lifetime tests (see DESIGN.md "Overlay payload
 // ownership"). The unit tests pin the Ref/Pool contract — non-atomic
 // refcounts, slot recycling to the default-constructed state, rc-neutral
-// copies, pools that outlive their owning registry. The scenario test at
+// copies, pools that outlive their owning registry, and the pool-made copy
+// the shard barrier moves a frame across lanes with. The scenario test at
 // the bottom is the lifetime stress: a churning overlay floods queries
 // while origins crash and rejoin, so pooled slots are recycled and refilled
 // under in-flight traffic; run under the asan preset this proves slot reuse
@@ -22,7 +23,6 @@
 #include "routing/dsr.hpp"
 #include "routing/messages.hpp"
 #include "scenario/parameters.hpp"
-#include "scenario/payload_clone.hpp"
 #include "scenario/run.hpp"
 
 namespace {
@@ -137,16 +137,7 @@ TEST(PayloadPool, PoolOutlivesItsOwningRegistry) {
   copy.reset();  // last drop frees the orphaned pool itself
 }
 
-TEST(PayloadPool, HeapFallbackWorksWithoutAnyPool) {
-  net::Ref<Blob> ref = net::make_payload<Blob>();
-  ref.edit()->value = 3;
-  net::Ref<const Blob> shared = ref;
-  EXPECT_EQ(ref.use_count(), 2U);
-  ref.reset();
-  EXPECT_EQ(shared->value, 3);
-}
-
-// ------------------------------------------------- cross-shard clone
+// ------------------------------------------------- cross-shard copy
 
 using FrameTypes =
     std::tuple<routing::Rreq, routing::Rrep, routing::Rerr, routing::DataMsg,
@@ -164,54 +155,110 @@ void for_each_type(std::tuple<Ts...>*, Fn&& fn) {
   (fn(std::type_identity<Ts>{}), ...);
 }
 
-// Clones `src` into fresh pools, as the barrier does for a destination
-// lane, and checks the copy: a distinct object of the same kind, made with
-// `objects` pool acquisitions.
-net::FramePayloadPtr clone_fresh(const net::FramePayload& src,
-                                 std::uint64_t objects) {
+// Copies `src` into fresh pools, as the barrier does for a destination
+// lane (through the bare FramePayload), and checks the copy: a distinct
+// object of the same kind, made with `objects` pool acquisitions.
+net::FramePayloadPtr copy_fresh(const net::FramePayload& src,
+                                std::uint64_t objects) {
   net::PayloadPools pools;
-  net::FramePayloadPtr clone = scenario::clone_frame_payload(src, pools);
-  EXPECT_TRUE(clone);
-  if (!clone) return clone;
-  EXPECT_EQ(clone->kind, src.kind);
-  EXPECT_NE(clone.get(), &src);
+  net::FramePayloadPtr copy = pools.copy_of(src);
+  EXPECT_TRUE(copy);
+  if (!copy) return copy;
+  EXPECT_EQ(copy->kind, src.kind);
+  EXPECT_NE(copy.get(), &src);
   EXPECT_EQ(pools.stats().acquires, objects);
-  return clone;
+  return copy;
 }
 
-// Only AODV frames cross shards in the scenario tests, so the cloner's
-// other cases are pinned here: every routing::FrameKind, bare, and every
+// Only AODV frames cross shards in the scenario tests, so the other
+// payload types are pinned here: every routing::FrameKind, bare, and every
 // core::MsgType inside each frame kind that carries an app (DataMsg,
-// FloodMsg, DsrData), whose app must be cloned into a distinct object too.
+// FloodMsg, DsrData), whose app must be copied into a distinct object too.
 TEST(PayloadPool, CrossShardCloneCoversEveryPayloadKind) {
+  net::PayloadPools source;
   std::set<net::PayloadKind> frame_kinds;
   std::set<net::PayloadKind> app_kinds;
   std::size_t app_frames = 0;
   for_each_type(static_cast<FrameTypes*>(nullptr), [&](auto frame_tag) {
     using F = typename decltype(frame_tag)::type;
-    const net::Ref<F> bare = net::make_payload<F>();
-    if (const auto clone = clone_fresh(*bare, 1)) {
-      frame_kinds.insert(clone->kind);
+    const net::Ref<F> bare = source.make<F>();
+    if (const auto copy = copy_fresh(*bare, 1)) {
+      frame_kinds.insert(copy->kind);
     }
     if constexpr (requires(const F& f) { f.app; }) {
       ++app_frames;
       for_each_type(static_cast<AppTypes*>(nullptr), [&](auto app_tag) {
         using A = typename decltype(app_tag)::type;
-        const net::Ref<F> src = net::make_payload<F>();
-        src.edit()->app = net::make_payload<const A>();
-        const net::FramePayloadPtr clone = clone_fresh(*src, 2);
-        ASSERT_TRUE(clone);
-        const auto& copy = static_cast<const F&>(*clone);
-        ASSERT_TRUE(copy.app);
-        EXPECT_EQ(copy.app->kind, src->app->kind);
-        EXPECT_NE(copy.app.get(), src->app.get());
-        app_kinds.insert(copy.app->kind);
+        const net::Ref<F> src = source.make<F>();
+        src.edit()->app = source.make<A>();
+        const net::FramePayloadPtr copy = copy_fresh(*src, 2);
+        ASSERT_TRUE(copy);
+        const auto& copied = static_cast<const F&>(*copy);
+        ASSERT_TRUE(copied.app);
+        EXPECT_EQ(copied.app->kind, src->app->kind);
+        EXPECT_NE(copied.app.get(), src->app.get());
+        EXPECT_EQ(src->app.use_count(), 1U);  // the copy holds no share
+        app_kinds.insert(copied.app->kind);
       });
     }
   });
   EXPECT_EQ(frame_kinds.size(), std::tuple_size_v<FrameTypes>);
   EXPECT_EQ(app_frames, 3U);
   EXPECT_EQ(app_kinds.size(), core::kNumMsgTypes);
+  // 10 bare frames, then 3 app-carrying kinds x 14 app kinds x 2 objects;
+  // copying never acquires from the source pools.
+  EXPECT_EQ(source.stats().acquires,
+            std::tuple_size_v<FrameTypes> + 3 * 2 * core::kNumMsgTypes);
+}
+
+// A copy carries its source's fields, the nested app's fields included:
+// one distinguishing value per type, set before the copy and read after.
+TEST(PayloadPool, CrossShardCopyKeepsTheContent) {
+  net::PayloadPools source;
+  net::PayloadPools dst;
+  std::vector<net::FramePayloadPtr> copies;
+  const auto copy = [&](const net::FramePayload& src)
+      -> const net::FramePayload& {
+    copies.push_back(dst.copy_of(src));
+    return *copies.back();
+  };
+
+  const net::Ref<routing::Rreq> rreq = source.make<routing::Rreq>();
+  rreq.edit()->dst = 17;
+  EXPECT_EQ(static_cast<const routing::Rreq&>(copy(*rreq)).dst, 17U);
+
+  const net::Ref<routing::Rerr> rerr = source.make<routing::Rerr>();
+  rerr.edit()->unreachable = {{3, 9}, {5, 2}};
+  EXPECT_EQ(static_cast<const routing::Rerr&>(copy(*rerr)).unreachable,
+            rerr->unreachable);
+
+  const net::Ref<routing::DsdvUpdate> update =
+      source.make<routing::DsdvUpdate>();
+  update.edit()->entries = {{4, 2, 6}, {8, routing::kDsdvInfinity, 7}};
+  const auto& update_copy =
+      static_cast<const routing::DsdvUpdate&>(copy(*update));
+  ASSERT_EQ(update_copy.entries.size(), 2U);
+  EXPECT_EQ(update_copy.entries[1].dst, 8U);
+  EXPECT_EQ(update_copy.entries[1].metric, routing::kDsdvInfinity);
+  EXPECT_EQ(update_copy.entries[1].seq, 7U);
+
+  const net::Ref<routing::DsrData> data = source.make<routing::DsrData>();
+  data.edit()->route = {1, 2, 3};
+  EXPECT_EQ(static_cast<const routing::DsrData&>(copy(*data)).route,
+            data->route);
+
+  const net::Ref<core::Query> query = source.make<core::Query>();
+  query.edit()->ttl = 5;
+  const net::Ref<routing::FloodMsg> flood = source.make<routing::FloodMsg>();
+  flood.edit()->app = query;
+  const auto& flood_copy =
+      static_cast<const routing::FloodMsg&>(copy(*flood));
+  ASSERT_TRUE(flood_copy.app);
+  EXPECT_NE(flood_copy.app.get(), query.get());
+  EXPECT_EQ(static_cast<const core::Query&>(*flood_copy.app).ttl, 5);
+  EXPECT_EQ(query.use_count(), 2U);  // the source frame and this test
+
+  EXPECT_EQ(dst.stats().acquires, 6U);  // five frames and the one query
 }
 
 // ------------------------------------------------- lifetime under churn

@@ -68,9 +68,9 @@ TEST(Trace, NetworkObserverSeesTransmitsDeliveriesAndDrops) {
   trace::NetworkAdapter adapter(counter);
   network.set_observer(&adapter);
 
-  network.broadcast(a, net::make_payload<const NoopPayload>(), 64);
-  network.unicast(a, b, net::make_payload<const NoopPayload>(), 32);
-  network.unicast(a, far, net::make_payload<const NoopPayload>(), 32);  // drop
+  network.broadcast(a, network.pools().make<NoopPayload>(), 64);
+  network.unicast(a, b, network.pools().make<NoopPayload>(), 32);
+  network.unicast(a, far, network.pools().make<NoopPayload>(), 32);  // drop
   sim.run();
 
   EXPECT_EQ(counter.count(EventKind::kTransmit), 3U);
@@ -81,7 +81,7 @@ TEST(Trace, NetworkObserverSeesTransmitsDeliveriesAndDrops) {
 
   // Detaching stops recording.
   network.set_observer(nullptr);
-  network.broadcast(a, net::make_payload<const NoopPayload>(), 64);
+  network.broadcast(a, network.pools().make<NoopPayload>(), 64);
   sim.run();
   EXPECT_EQ(counter.count(EventKind::kTransmit), 3U);
 }
@@ -98,7 +98,7 @@ TEST(Trace, ObserverMatchesNetworkCounters) {
   trace::NetworkAdapter adapter(counter);
   network.set_observer(&adapter);
   for (net::NodeId n = 0; n < 6; ++n) {
-    network.broadcast(n, net::make_payload<const NoopPayload>(), 48);
+    network.broadcast(n, network.pools().make<NoopPayload>(), 48);
   }
   sim.run();
   EXPECT_EQ(counter.count(EventKind::kTransmit), network.frames_transmitted());

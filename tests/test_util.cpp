@@ -197,7 +197,9 @@ TEST(Json, DuplicateKeysLastWinsAndQuoteRoundTrips) {
   ASSERT_NE(v.find("k"), nullptr);
   EXPECT_DOUBLE_EQ(v.find("k")->number, 2.0);
 
-  EXPECT_EQ(json_quote("a\"b\\c\n\x01"), "\"a\\\"b\\\\c\\n\\u0001\"");
+  std::string quoted;
+  append_json_string(&quoted, "a\"b\\c\n\x01");
+  EXPECT_EQ(quoted, "\"a\\\"b\\\\c\\n\\u0001\"");
 }
 
 }  // namespace

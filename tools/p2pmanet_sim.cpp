@@ -39,7 +39,8 @@ int usage(const char* argv0) {
          "       [key=value ...]\n\n"
          "common keys: algorithm=basic|regular|random|hybrid num_nodes=50\n"
          "  duration_s=3600 seed=1 p2p_fraction=0.75 mobility=waypoint|\n"
-         "  direction|gauss_markov routing_protocol=aodv|dsdv maxnconn=3 ...\n";
+         "  direction|gauss_markov routing_protocol=aodv|dsdv|dsr\n"
+         "  maxnconn=3 ...\n";
   return 2;
 }
 
