@@ -53,13 +53,13 @@ void GaussMarkov::advance_step() {
   next_pos_ = params_.region.clamp(pos_ + delta);
 }
 
-geo::Vec2 GaussMarkov::position_at(sim::SimTime t) {
+Leg GaussMarkov::leg_at(sim::SimTime t) {
   while (t >= segment_start_ + params_.step) {
     segment_start_ += params_.step;
     advance_step();
   }
-  const double f = (t - segment_start_) / params_.step;
-  return pos_ + (next_pos_ - pos_) * f;
+  return {segment_start_, params_.step, segment_start_ + params_.step, pos_,
+          next_pos_ - pos_};
 }
 
 }  // namespace p2p::mobility

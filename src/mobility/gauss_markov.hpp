@@ -28,7 +28,7 @@ class GaussMarkov final : public MobilityModel {
  public:
   GaussMarkov(const GaussMarkovParams& params, sim::RngStream rng);
 
-  geo::Vec2 position_at(sim::SimTime t) override;
+  Leg leg_at(sim::SimTime t) override;
 
  private:
   void advance_step();

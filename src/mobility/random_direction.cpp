@@ -44,13 +44,14 @@ void RandomDirection::begin_next_leg() {
   }
 }
 
-geo::Vec2 RandomDirection::position_at(sim::SimTime t) {
+Leg RandomDirection::leg_at(sim::SimTime t) {
+  // As in RandomWaypoint::leg_at: leg_start_time_ <= t < leg_end_time_.
   while (t >= leg_end_time_) begin_next_leg();
-  if (pausing_) return leg_start_pos_;
-  const double span = leg_end_time_ - leg_start_time_;
-  if (span <= 0.0) return leg_end_pos_;
-  const double f = (t - leg_start_time_) / span;
-  return leg_start_pos_ + (leg_end_pos_ - leg_start_pos_) * f;
+  if (pausing_) {
+    return {leg_start_time_, 1.0, leg_end_time_, leg_start_pos_, {}};
+  }
+  return {leg_start_time_, leg_end_time_ - leg_start_time_, leg_end_time_,
+          leg_start_pos_, leg_end_pos_ - leg_start_pos_};
 }
 
 }  // namespace p2p::mobility

@@ -24,7 +24,7 @@ class RandomDirection final : public MobilityModel {
  public:
   RandomDirection(const RandomDirectionParams& params, sim::RngStream rng);
 
-  geo::Vec2 position_at(sim::SimTime t) override;
+  Leg leg_at(sim::SimTime t) override;
 
  private:
   void begin_next_leg();

@@ -41,17 +41,15 @@ void RandomWaypoint::begin_next_leg() {
   }
 }
 
-void RandomWaypoint::advance_to(sim::SimTime t) {
+Leg RandomWaypoint::leg_at(sim::SimTime t) {
+  // Zero-length legs are skipped here, so the returned leg has
+  // leg_start_time_ <= t < leg_end_time_ and a positive span.
   while (t >= leg_end_time_) begin_next_leg();
-}
-
-geo::Vec2 RandomWaypoint::position_at(sim::SimTime t) {
-  advance_to(t);
-  if (pausing_) return leg_start_pos_;
-  const double span = leg_end_time_ - leg_start_time_;
-  if (span <= 0.0) return leg_end_pos_;
-  const double f = (t - leg_start_time_) / span;
-  return leg_start_pos_ + (leg_end_pos_ - leg_start_pos_) * f;
+  if (pausing_) {
+    return {leg_start_time_, 1.0, leg_end_time_, leg_start_pos_, {}};
+  }
+  return {leg_start_time_, leg_end_time_ - leg_start_time_, leg_end_time_,
+          leg_start_pos_, leg_end_pos_ - leg_start_pos_};
 }
 
 }  // namespace p2p::mobility

@@ -26,13 +26,9 @@ class RandomWaypoint final : public MobilityModel {
   /// `rng` must be a dedicated per-node stream (taken by value).
   RandomWaypoint(const RandomWaypointParams& params, sim::RngStream rng);
 
-  geo::Vec2 position_at(sim::SimTime t) override;
-
-  /// Position the model was initialized with (uniform over the region).
-  geo::Vec2 initial_position() const noexcept { return leg_start_pos_; }
+  Leg leg_at(sim::SimTime t) override;
 
  private:
-  void advance_to(sim::SimTime t);
   void begin_next_leg();
 
   RandomWaypointParams params_;

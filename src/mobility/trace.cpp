@@ -1,5 +1,7 @@
 #include "mobility/trace.hpp"
 
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -24,7 +26,7 @@ geo::Vec2 TraceModel::interpolate(const TraceStep& s, geo::Vec2 from,
   return from + (s.target - from) * (travel / dist);
 }
 
-geo::Vec2 TraceModel::position_at(sim::SimTime t) {
+Leg TraceModel::leg_at(sim::SimTime t) {
   // Walk the schedule: each step moves the node from wherever the previous
   // steps left it at the step's start_time, until it is preempted by the
   // next step or the query time is reached.
@@ -36,7 +38,8 @@ geo::Vec2 TraceModel::position_at(sim::SimTime t) {
     const sim::SimTime horizon = preempted ? steps_[i + 1].start_time : t;
     pos = interpolate(steps_[i], pos, horizon);
   }
-  return pos;
+  return {t, 1.0, std::nextafter(t, std::numeric_limits<double>::infinity()),
+          pos, {}};
 }
 
 }  // namespace p2p::mobility

@@ -24,7 +24,9 @@ class TraceModel final : public MobilityModel {
   /// by start_time; a step preempts any unfinished previous movement.
   TraceModel(geo::Vec2 initial, std::vector<TraceStep> steps);
 
-  geo::Vec2 position_at(sim::SimTime t) override;
+  /// A one-instant leg: the schedule is replayed from the start on every
+  /// call, which is cheap for the short scripts the tests use.
+  Leg leg_at(sim::SimTime t) override;
 
  private:
   /// Position at time t assuming motion began at (t0, from) toward step s.

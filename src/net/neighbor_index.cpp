@@ -36,10 +36,7 @@ std::size_t NeighborIndex::cell_of(geo::Vec2 p) const noexcept {
   return cy * cols_ + cx;
 }
 
-void NeighborIndex::refresh(sim::SimTime now,
-                            const std::vector<geo::Vec2>& positions) {
-  if (is_fresh(now, positions.size())) return;
-  const std::size_t n = positions.size();
+void NeighborIndex::grow_to(std::size_t n) {
   if (node_cell_.size() < n) {
     ++alloc_events_;
     node_pos_.resize(n);
@@ -47,14 +44,16 @@ void NeighborIndex::refresh(sim::SimTime now,
     cell_nodes_.resize(n);
     cell_pos_.resize(n);
   }
+}
+
+void NeighborIndex::rebuild(sim::SimTime now, std::size_t n) {
   // Counting sort of ids into cells. Ids are visited ascending, so every
   // cell comes out id-sorted — the candidate order the RNG draw sequence
   // is keyed to.
   const std::size_t cells = cols_ * rows_;
   std::fill(cell_start_.begin(), cell_start_.end(), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    node_pos_[i] = positions[i];
-    node_cell_[i] = static_cast<std::uint32_t>(cell_of(positions[i]));
+    node_cell_[i] = static_cast<std::uint32_t>(cell_of(node_pos_[i]));
     ++cell_start_[node_cell_[i] + 1];
   }
   for (std::size_t c = 0; c < cells; ++c) {

@@ -32,17 +32,18 @@ class NeighborIndex {
   NeighborIndex(geo::Region region, double range, double tolerance_s,
                 double max_speed);
 
-  /// Whether the index built for `n` nodes is still within tolerance at
-  /// `now` (i.e. refresh() would be a no-op). The single source of truth
-  /// for staleness — callers that want to skip the position sampling a
-  /// refresh needs should probe this instead of re-deriving the check.
-  bool is_fresh(sim::SimTime now, std::size_t n) const noexcept {
-    return ever_built_ && now - built_at_ < tolerance_ && n == indexed_count_;
+  /// Full rebuild of `n` nodes if older than the tolerance:
+  /// `position(id)` is then called once per id, ascending, and returns
+  /// node id's position at time `now`. A fresh index calls it not at all.
+  template <typename PositionFn>
+  void refresh(sim::SimTime now, std::size_t n, PositionFn&& position) {
+    if (is_fresh(now, n)) return;
+    grow_to(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      node_pos_[i] = position(static_cast<NodeId>(i));
+    }
+    rebuild(now, n);
   }
-
-  /// Full rebuild if older than the tolerance. `positions[i]` is node i's
-  /// position at time `now`.
-  void refresh(sim::SimTime now, const std::vector<geo::Vec2>& positions);
 
   /// Nodes whose indexed position may be within range of `center` at
   /// `now` (stored positions are pruned with the uniform reach above).
@@ -70,7 +71,16 @@ class NeighborIndex {
   std::size_t memory_bytes() const noexcept;
 
  private:
+  /// Whether the index built for `n` nodes is still within tolerance at
+  /// `now` (refresh() is then a no-op).
+  bool is_fresh(sim::SimTime now, std::size_t n) const noexcept {
+    return ever_built_ && now - built_at_ < tolerance_ && n == indexed_count_;
+  }
   std::size_t cell_of(geo::Vec2 p) const noexcept;
+  /// Grows the per-node and CSR arrays to hold `n` nodes.
+  void grow_to(std::size_t n);
+  /// Rebuilds the CSR arrays from node_pos_[0, n).
+  void rebuild(sim::SimTime now, std::size_t n);
 
   geo::Region region_;
   double range_;

@@ -22,7 +22,7 @@ NodeId Network::add_node(std::unique_ptr<mobility::MobilityModel> mobility,
   state.mobility = std::move(mobility);
   state.energy = EnergyModel(energy);
   nodes_.push_back(std::move(state));
-  pos_cache_.emplace_back();
+  legs_.emplace_back();  // until = -inf: fetched on the first sample
   down_.push_back(0);
   const auto id = static_cast<NodeId>(nodes_.size() - 1);
   refresh_down(id);  // a zero-capacity battery is dead on arrival
@@ -49,7 +49,7 @@ geo::Vec2 Network::position_of(NodeId id) {
 // receiver. The shard side of each is [[unlikely]] so the base lane's code
 // is laid out first; to_outbox's queueing half stays out of line.
 //
-// lane_position and sample_position_at (the memo body behind position_of)
+// lane_position and sample_position_at (the leg cache behind position_of)
 // stay out of line so that a position comes back in two registers.
 // Inlined into a caller, GCC (-O2) merges the two position sources as one
 // 16-byte value through the stack: two 8-byte stores, then a 16-byte
@@ -188,14 +188,8 @@ bool Network::in_range(NodeId a, NodeId b) {
 }
 
 void Network::refresh_index(sim::SimTime t) {
-  // Probe first: the O(n) position sampling is paid only when the index
-  // actually rebuilds.
-  if (index_.is_fresh(t, nodes_.size())) return;
-  scratch_positions_.resize(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    scratch_positions_[i] = sample_position_at(i, t);
-  }
-  index_.refresh(t, scratch_positions_);
+  index_.refresh(t, nodes_.size(),
+                 [&](NodeId id) { return sample_position_at(id, t); });
 }
 
 void Network::neighbors_of(NodeId id, std::vector<NodeId>* out) {
@@ -220,20 +214,17 @@ std::vector<std::vector<NodeId>> Network::adjacency_snapshot() {
   const sim::SimTime now = base_.sim->now();
   std::vector<std::vector<NodeId>> adj(nodes_.size());
   refresh_index(now);
-  // Force an exact snapshot: sample every position fresh (memoized per
-  // node for this instant).
-  scratch_positions_.resize(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    scratch_positions_[i] = position_of(i);
-  }
+  // An exact snapshot: every distance uses positions sampled at this
+  // instant, not the index's.
   const double r2 = params_.range * params_.range;
   std::vector<NodeId>& cands = base_.scratch_candidates;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
     if (!alive(i)) continue;
-    index_.candidates_near(scratch_positions_[i], now, &cands);
+    const geo::Vec2 pi = position_of(i);
+    index_.candidates_near(pi, now, &cands);
     for (const NodeId j : cands) {
       if (j <= i || !alive(j)) continue;
-      if (geo::distance2(scratch_positions_[i], scratch_positions_[j]) <= r2) {
+      if (geo::distance2(pi, position_of(j)) <= r2) {
         adj[i].push_back(j);
         adj[j].push_back(i);
       }
@@ -473,10 +464,9 @@ std::size_t Network::lane_bytes(const Lane& lane) noexcept {
 
 std::size_t Network::memory_bytes() const noexcept {
   std::size_t bytes = nodes_.capacity() * sizeof(NodeState) +
-                      pos_cache_.capacity() * sizeof(PosCache) +
+                      legs_.capacity() * sizeof(mobility::Leg) +
                       down_.capacity() * sizeof(std::uint8_t) +
                       index_.memory_bytes() +
-                      scratch_positions_.capacity() * sizeof(geo::Vec2) +
                       blackout_map_.memory_bytes();
   for (const auto& node : nodes_) {
     bytes += node.listeners.capacity() * sizeof(LinkListener*);
@@ -552,12 +542,11 @@ void Network::end_window(sim::SimTime /*end*/) {
 
 [[gnu::noinline]] geo::Vec2 Network::sample_position_at(NodeId id,
                                                         sim::SimTime t) {
-  PosCache& cache = pos_cache_[id];
-  if (cache.time != t) {
-    cache.pos = nodes_[id].mobility->position_at(t);
-    cache.time = t;
+  mobility::Leg& leg = legs_[id];
+  if (!(t < leg.until)) [[unlikely]] {
+    leg = nodes_[id].mobility->leg_at(t);
   }
-  return cache.pos;
+  return leg.at(t);
 }
 
 PayloadPools::Stats Network::pool_stats() const noexcept {

@@ -62,10 +62,9 @@ class Network {
   void unicast(NodeId sender, NodeId neighbor, FramePayloadPtr payload,
                std::size_t bytes);
 
-  /// Current position of `id`. Memoized per (node, SimTime): repeated
-  /// queries at the same simulated instant (range filters, gray-zone
-  /// distances, snapshots) pay the virtual mobility call and its trig
-  /// only once.
+  /// Current position of `id`, evaluated on the node's cached trajectory
+  /// leg: the virtual mobility call is paid once per leg, not once per
+  /// query (range filters, gray-zone distances, snapshots).
   geo::Vec2 position_of(NodeId id);
   bool in_range(NodeId a, NodeId b);
   /// Live neighbors within range of `id` (exact, fresh positions), in
@@ -215,9 +214,10 @@ class Network {
  private:
   // Cold per-node state: touched on add/attach, at transmit time (energy,
   // tx serialization), and at delivery fan-out. The fields the candidate
-  // loops read per neighbor — position memo and liveness — are split into
-  // the dense pos_cache_/down_ arrays below (structure-of-arrays), so a
-  // range filter over k candidates touches k*24 bytes, not k NodeStates.
+  // loops read per neighbor — trajectory leg and liveness — are split into
+  // the dense legs_/down_ arrays below (structure-of-arrays), so a range
+  // filter over k candidates touches k legs of 56 bytes, not k NodeStates
+  // and k heap-allocated mobility models.
   struct NodeState {
     std::unique_ptr<mobility::MobilityModel> mobility;
     EnergyModel energy;
@@ -225,12 +225,6 @@ class Network {
     bool failed = false;
     sim::SimTime next_free_tx = 0.0;
   };
-  // position_of memoization, keyed by the simulated instant.
-  struct PosCache {
-    geo::Vec2 pos{0.0, 0.0};
-    sim::SimTime time = -1.0;  // SimTime is never negative
-  };
-
   // ---- sharded-mode state -----------------------------------------------
   /// One cross-shard transmission: scheduled on the destination shard's
   /// Simulator at the barrier. Receivers are in candidate order; slots are
@@ -343,11 +337,12 @@ class Network {
   void queue_in_outbox(Lane& lane, std::uint32_t dst, NodeId receiver,
                        const Frame& frame, sim::SimTime arrival);
 
-  /// The per-node position memo, at an explicit instant; position_of is
-  /// this at the base lane's clock.
+  /// Position of `id` at an explicit instant, from the node's cached leg
+  /// (re-fetched from its mobility model once `t` reaches the leg's end);
+  /// position_of is this at the base lane's clock.
   geo::Vec2 sample_position_at(NodeId id, sim::SimTime t);
   /// Rebuild the spatial index if it is stale at `t`, sampling every
-  /// position at `t` (warms the per-node position memo too). Sequential
+  /// position at `t` (one contiguous pass over the leg cache). Sequential
   /// paths pass the clock; sharded windows pass their start (the barrier
   /// instant — the only sharded-mode point that may touch the mobility
   /// models). Because sharded refreshes happen only at barriers, the index
@@ -371,10 +366,9 @@ class Network {
   NetworkParams params_;
   Lane base_;  // the constructor's Simulator and mac stream
   std::vector<NodeState> nodes_;
-  std::vector<PosCache> pos_cache_;  // hot: position memo per node
+  std::vector<mobility::Leg> legs_;  // hot: current trajectory leg per node
   std::vector<std::uint8_t> down_;   // hot: 1 = failed or battery dead
   NeighborIndex index_;
-  std::vector<geo::Vec2> scratch_positions_;
 
   /// One channel-level draw: base loss (with the Gilbert-Elliott burst
   /// composed in while one is in force) + gray zone, from the lane's

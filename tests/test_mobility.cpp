@@ -1,8 +1,15 @@
 // Mobility models: random waypoint invariants (in-bounds, speed-bounded,
-// actually moves) and the scripted trace model incl. preemption.
+// actually moves), the scripted trace model incl. preemption, and the leg
+// contract every model gives a caller that caches legs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "geo/vec2.hpp"
 #include "mobility/gauss_markov.hpp"
@@ -24,8 +31,6 @@ TEST(StaticModel, NeverMoves) {
   StaticModel model({3.0, 4.0});
   EXPECT_EQ(model.position_at(0.0), (geo::Vec2{3.0, 4.0}));
   EXPECT_EQ(model.position_at(1e6), (geo::Vec2{3.0, 4.0}));
-  model.set_position({1.0, 1.0});
-  EXPECT_EQ(model.position_at(1e6), (geo::Vec2{1.0, 1.0}));
 }
 
 class RandomWaypointSeeded : public ::testing::TestWithParam<std::uint64_t> {};
@@ -73,8 +78,7 @@ TEST(RandomWaypoint, InitialPositionIsInsideAndReported) {
   RandomWaypointParams params;
   params.region = {40.0, 20.0};
   RandomWaypoint model(params, sim::RngStream(5));
-  EXPECT_TRUE(params.region.contains(model.initial_position()));
-  EXPECT_EQ(model.position_at(0.0), model.initial_position());
+  EXPECT_TRUE(params.region.contains(model.position_at(0.0)));
 }
 
 class RandomDirectionSeeded : public ::testing::TestWithParam<std::uint64_t> {};
@@ -179,6 +183,105 @@ TEST(TraceModel, LaterStepPreemptsUnfinishedMove) {
   const geo::Vec2 later = model.position_at(9.0);  // 5 s toward (4,10)
   EXPECT_NEAR(later.x, 4.0, 1e-9);
   EXPECT_NEAR(later.y, 5.0, 1e-9);
+}
+
+// The leg contract net::Network's leg cache relies on: a leg taken at t
+// gives, anywhere in [t, until), the very bits a same-seeded twin's fresh
+// position_at returns. Twin `cached` is asked once per leg; twin `fresh`
+// at every sampled instant. The instants are a stride grid plus, for every
+// leg, the last double before `until` and `until` itself (where the next
+// leg is taken). Consecutive legs must also meet: a leg's position at its
+// end is the next leg's start, up to rounding — except for TraceModel,
+// whose one-instant legs (`instant_legs`) can teleport.
+void expect_legs_match_fresh(mobility::MobilityModel& cached,
+                             mobility::MobilityModel& fresh, double horizon,
+                             double stride, bool instant_legs = false) {
+  const auto bits = [](geo::Vec2 p) {
+    return std::pair{std::bit_cast<std::uint64_t>(p.x),
+                     std::bit_cast<std::uint64_t>(p.y)};
+  };
+  double t = 0.0;
+  int legs = 0;
+  mobility::Leg prev;
+  while (t <= horizon) {
+    const mobility::Leg leg = cached.leg_at(t);
+    ++legs;
+    ASSERT_LT(t, leg.until) << "leg " << legs;
+    if (legs > 1 && !instant_legs) {
+      const geo::Vec2 end = prev.at(t);
+      const geo::Vec2 start = leg.at(t);
+      EXPECT_NEAR(end.x, start.x, 1e-9) << "jump at t=" << t;
+      EXPECT_NEAR(end.y, start.y, 1e-9) << "jump at t=" << t;
+    }
+    const double last =
+        std::nextafter(leg.until, -std::numeric_limits<double>::infinity());
+    for (double s = t; s <= horizon; s = std::min(s + stride, last)) {
+      EXPECT_EQ(bits(leg.at(s)), bits(fresh.position_at(s)))
+          << "t=" << s << " in leg " << legs << " taken at " << t;
+      if (s == last) break;
+    }
+    prev = leg;
+    t = instant_legs ? t + stride : leg.until;
+  }
+  EXPECT_GT(legs, 2);
+}
+
+TEST(Mobility, LegTakenEarlierMatchesFreshModel) {
+  // A small region keeps legs short, so a run crosses many of them. A
+  // max_pause of 1e-13 is below the spacing of doubles near t = 100 s, so
+  // many pauses end at the instant they start (zero-length legs, skipped
+  // inside leg_at) or one ulp later.
+  for (const bool pause_first : {true, false}) {
+    for (const double max_pause : {20.0, 1e-13}) {
+      SCOPED_TRACE(testing::Message()
+                   << "RandomWaypoint pause_first=" << pause_first
+                   << " max_pause=" << max_pause);
+      RandomWaypointParams params;
+      params.region = {30.0, 20.0};
+      params.max_pause = max_pause;
+      params.pause_first = pause_first;
+      RandomWaypoint cached(params, sim::RngStream(41));
+      RandomWaypoint fresh(params, sim::RngStream(41));
+      expect_legs_match_fresh(cached, fresh, 1500.0, 0.37);
+    }
+  }
+  for (const double max_pause : {20.0, 1e-13}) {
+    SCOPED_TRACE(testing::Message() << "RandomDirection max_pause=" << max_pause);
+    mobility::RandomDirectionParams params;
+    params.region = {30.0, 20.0};
+    params.max_pause = max_pause;
+    mobility::RandomDirection cached(params, sim::RngStream(43));
+    mobility::RandomDirection fresh(params, sim::RngStream(43));
+    expect_legs_match_fresh(cached, fresh, 1500.0, 0.37);
+  }
+  {
+    SCOPED_TRACE("GaussMarkov");
+    mobility::GaussMarkovParams params;
+    params.region = {30.0, 20.0};
+    params.step = 0.7;  // segment ends are running sums that round
+    mobility::GaussMarkov cached(params, sim::RngStream(47));
+    mobility::GaussMarkov fresh(params, sim::RngStream(47));
+    expect_legs_match_fresh(cached, fresh, 300.0, 0.37);
+  }
+  {
+    SCOPED_TRACE("StaticModel");
+    StaticModel cached({3.0, 4.0});
+    StaticModel fresh({3.0, 4.0});
+    const mobility::Leg leg = cached.leg_at(0.0);
+    EXPECT_EQ(leg.until, std::numeric_limits<double>::infinity());
+    for (const double s : {0.0, 0.37, 1e6}) {
+      EXPECT_EQ(leg.at(s), fresh.position_at(s));
+    }
+  }
+  {
+    SCOPED_TRACE("TraceModel");
+    const std::vector<TraceStep> steps{{0.0, {10.0, 0.0}, 1.0},
+                                       {4.0, {4.0, 10.0}, 1.0},
+                                       {20.0, {0.0, 0.0}, 0.0}};
+    TraceModel cached({0.0, 0.0}, steps);
+    TraceModel fresh({0.0, 0.0}, steps);
+    expect_legs_match_fresh(cached, fresh, 30.0, 0.37, /*instant_legs=*/true);
+  }
 }
 
 }  // namespace

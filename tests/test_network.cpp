@@ -857,7 +857,7 @@ TEST(NeighborIndex, SteadyStateRefreshesAreAllocationFree) {
       for (std::size_t i = 0; i < kNodes; ++i) {
         positions[i] = field.at(static_cast<NodeId>(i));
       }
-      index.refresh(now, positions);
+      index.refresh(now, kNodes, [&](NodeId id) { return positions[id]; });
       ASSERT_EQ(index.built_at(), now);  // every step really rebuilt
     }
   };

@@ -415,15 +415,25 @@ TEST(SimulationRun, RunsOverDsdv) {
 }
 
 TEST(SimulationRun, RunsUnderEveryMobilityModel) {
-  for (const auto kind :
-       {scenario::MobilityKind::kRandomWaypoint,
-        scenario::MobilityKind::kRandomDirection,
-        scenario::MobilityKind::kGaussMarkov}) {
+  // Pinned counters: a change to any model's trajectory, or to how the
+  // network samples it, moves at least one of them.
+  struct Expected {
+    scenario::MobilityKind kind;
+    std::uint64_t events, transmitted, delivered;
+  };
+  for (const Expected& e : {
+           Expected{scenario::MobilityKind::kRandomWaypoint, 1664, 1160, 1637},
+           Expected{scenario::MobilityKind::kRandomDirection, 703, 418, 236},
+           Expected{scenario::MobilityKind::kGaussMarkov, 2034, 1422, 1422},
+       }) {
     Parameters params = tiny_scenario(core::AlgorithmKind::kRegular);
-    params.mobility_kind = kind;
+    params.mobility_kind = e.kind;
     const auto result = SimulationRun(params).run();
-    EXPECT_GT(result.frames_transmitted, 0U)
-        << "mobility kind " << static_cast<int>(kind);
+    SCOPED_TRACE(testing::Message()
+                 << "mobility kind " << static_cast<int>(e.kind));
+    EXPECT_EQ(result.events_processed, e.events);
+    EXPECT_EQ(result.frames_transmitted, e.transmitted);
+    EXPECT_EQ(result.frames_delivered, e.delivered);
   }
 }
 
