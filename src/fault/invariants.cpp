@@ -1,5 +1,6 @@
 #include "fault/invariants.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +10,16 @@ namespace {
 // Recording cap: a genuinely broken build could report per node per sweep;
 // keep the vector bounded while the total count stays exact.
 constexpr std::size_t kMaxRecorded = 1024;
+
+// Slack over the longest a silent close can go unnoticed: the responder's
+// silence timeout, or the initiator's ping interval plus pong timeout.
+constexpr double kAsymmetrySlackS = 120.0;
+// A route's next hop must be dead this long before the route is suspect.
+constexpr double kStaleRouteGraceS = 25.0;
+// Slack over the longest lifetime AODV grants: active_route_timeout on a
+// refresh or neighbor route, my_route_timeout (or less) in a RREP. A
+// reverse route's 2 * NET_TRAVERSAL_TIME (5.6 s) is below the slack alone.
+constexpr double kRouteLifetimeSlackS = 10.0;
 
 std::uint64_t edge_key(net::NodeId a, net::NodeId b) noexcept {
   return (static_cast<std::uint64_t>(a) << 32) | b;
@@ -25,10 +36,6 @@ const char* invariant_kind_name(InvariantKind kind) noexcept {
   }
   return "?";
 }
-
-InvariantChecker::InvariantChecker(net::Network& network,
-                                   const InvariantConfig& config)
-    : net_(&network), config_(config) {}
 
 void InvariantChecker::add_servent(core::Servent* servent) {
   servents_.push_back(servent);
@@ -94,6 +101,10 @@ void InvariantChecker::sweep_overlay_symmetry(sim::SimTime now) {
   for (const core::Servent* servent : servents_) {
     const net::NodeId self = servent->self();
     if (!net_->alive(self)) continue;
+    const core::P2pParams& p2p = servent->params();
+    const double grace =
+        std::max(p2p.silence_timeout, p2p.ping_interval + p2p.pong_timeout) +
+        kAsymmetrySlackS;
     for (const net::NodeId peer : servent->connections().peers()) {
       const core::Connection* conn = servent->connections().find(peer);
       if (conn == nullptr || conn->kind == core::ConnKind::kBasic) {
@@ -115,7 +126,7 @@ void InvariantChecker::sweep_overlay_symmetry(sim::SimTime now) {
         continue;
       }
       const auto [pos, fresh] = asym_since_.emplace(key, now);
-      if (!fresh && now - pos->second > config_.asymmetry_grace_s) {
+      if (!fresh && now - pos->second > grace) {
         std::ostringstream os;
         os << core::conn_kind_name(conn->kind) << " edge to " << peer
            << " one-sided for " << now - pos->second << " s";
@@ -129,6 +140,9 @@ void InvariantChecker::sweep_overlay_symmetry(sim::SimTime now) {
 void InvariantChecker::sweep_routing_tables(sim::SimTime now) {
   for (routing::AodvAgent* agent : aodv_) {
     if (!net_->alive(agent->self())) continue;  // dead tables are wiped/frozen
+    const double bound = std::max(agent->params().active_route_timeout,
+                                  agent->params().my_route_timeout) +
+                         kRouteLifetimeSlackS;
     for (const auto& [dst, route] : agent->table().all()) {
       if (!route.valid || route.expires <= now) continue;
       const auto it = down_since_.find(route.next_hop);
@@ -137,8 +151,7 @@ void InvariantChecker::sweep_routing_tables(sim::SimTime now) {
       // Reverse traffic from `dst` legitimately re-arms this route even
       // while the next hop is dead (it self-heals on first send attempt),
       // but no refresh can push the expiry past the lifetime bound.
-      if (dead_for > config_.stale_route_grace_s &&
-          route.expires > now + config_.route_lifetime_bound_s) {
+      if (dead_for > kStaleRouteGraceS && route.expires > now + bound) {
         std::ostringstream os;
         os << "active route to " << dst << " via " << route.next_hop
            << ", dead for " << dead_for << " s, expires in "

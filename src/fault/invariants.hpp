@@ -4,14 +4,18 @@
 // Four invariant classes, validated by a full sweep on a configurable
 // interval and at every fault boundary:
 //   1. overlay connection symmetry: a non-Basic connection held by A
-//      toward B implies B holds one toward A, modulo a grace window (a
-//      silent close is only noticed by the peer's silence timeout);
-//   2. routing-table entries never point at a long-dead next hop with an
-//      expiry no legitimate refresh could have produced (reverse traffic
-//      from the destination may keep re-arming a route whose next hop is
-//      dead — that self-heals on first use — but every refresh is bounded
-//      by the route-lifetime constants, so an expiry further out than that
-//      bound on a route through a long-dead neighbor is corruption);
+//      toward B implies B holds one toward A, modulo a grace window. A
+//      silent close is only noticed by the peer's maintenance, so the
+//      window is read from A's timers: max(silence_timeout, ping_interval
+//      + pong_timeout) + 120 s (300 s at the defaults);
+//   2. routing-table entries never point at a long-dead next hop (dead
+//      over 25 s) with an expiry no legitimate refresh could have produced.
+//      Reverse traffic from the destination may keep re-arming a route
+//      whose next hop is dead (that self-heals on first use), but every
+//      lifetime AODV grants is at most max(active_route_timeout,
+//      my_route_timeout), read from the table owner's AodvParams, so an
+//      expiry more than that plus 10 s out (30 s at the defaults) on a
+//      route through a long-dead neighbor is corruption;
 //   3. dup-cache internal consistency: insertion times never exceed the
 //      current time and the expiry FIFO stays time-ordered;
 //   4. per-node consumed energy is monotonically non-decreasing.
@@ -60,26 +64,9 @@ struct Violation {
   std::string detail;  // human-readable context (peer, age, ...)
 };
 
-struct InvariantConfig {
-  // A one-sided symmetric edge must persist this long before it counts as
-  // a violation: a silent close (kTooFar, timeouts, crash) legitimately
-  // leaves the peer holding the edge until its own maintenance notices
-  // (at most silence_timeout, plus ping/pong latency).
-  double asymmetry_grace_s = 300.0;
-  // How long its next hop must have been dead before a valid unexpired
-  // route is even considered suspicious.
-  double stale_route_grace_s = 25.0;
-  // The longest lifetime any legitimate refresh can grant a route entry
-  // (my_route_timeout, 20 s default, plus slack). A route through a
-  // long-dead neighbor whose expiry lies further in the future than this
-  // bound cannot have been produced by the protocol.
-  double route_lifetime_bound_s = 30.0;
-};
-
 class InvariantChecker {
  public:
-  explicit InvariantChecker(net::Network& network,
-                            const InvariantConfig& config = {});
+  explicit InvariantChecker(net::Network& network) : net_(&network) {}
 
   // ---- registration (scenario build time) ----
   void add_servent(core::Servent* servent);
@@ -114,7 +101,6 @@ class InvariantChecker {
   void sweep_routing_tables(sim::SimTime now);
 
   net::Network* net_;
-  InvariantConfig config_;
   std::vector<core::Servent*> servents_;
   std::unordered_map<net::NodeId, core::Servent*> servent_by_node_;
   std::vector<routing::AodvAgent*> aodv_;

@@ -8,6 +8,9 @@ namespace p2p::mobility {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
+constexpr double kSpeedSigma = 0.3;      // m/s
+constexpr double kDirectionSigma = 0.6;  // radians
+constexpr double kEdgeMargin = 10.0;     // steer back when this close to a border
 
 double gaussian(sim::RngStream& rng) { return rng.normal(0.0, 1.0); }
 }  // namespace
@@ -29,11 +32,10 @@ void GaussMarkov::advance_step() {
 
   // Steer the mean direction back toward the middle near edges.
   double mean_dir = direction_;
-  const double margin = params_.edge_margin;
-  const bool near_left = pos_.x < margin;
-  const bool near_right = pos_.x > params_.region.width - margin;
-  const bool near_bottom = pos_.y < margin;
-  const bool near_top = pos_.y > params_.region.height - margin;
+  const bool near_left = pos_.x < kEdgeMargin;
+  const bool near_right = pos_.x > params_.region.width - kEdgeMargin;
+  const bool near_bottom = pos_.y < kEdgeMargin;
+  const bool near_top = pos_.y > params_.region.height - kEdgeMargin;
   if (near_left || near_right || near_bottom || near_top) {
     const geo::Vec2 center{params_.region.width / 2.0,
                            params_.region.height / 2.0};
@@ -43,10 +45,10 @@ void GaussMarkov::advance_step() {
   const double a = params_.alpha;
   const double memoryless = std::sqrt(1.0 - a * a);
   speed_ = a * speed_ + (1.0 - a) * params_.mean_speed +
-           memoryless * params_.speed_sigma * gaussian(rng_);
+           memoryless * kSpeedSigma * gaussian(rng_);
   if (speed_ < 0.0) speed_ = 0.0;
   direction_ = a * direction_ + (1.0 - a) * mean_dir +
-               memoryless * params_.direction_sigma * gaussian(rng_);
+               memoryless * kDirectionSigma * gaussian(rng_);
 
   const geo::Vec2 delta{std::cos(direction_) * speed_ * params_.step,
                         std::sin(direction_) * speed_ * params_.step};

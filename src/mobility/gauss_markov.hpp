@@ -17,11 +17,8 @@ namespace p2p::mobility {
 struct GaussMarkovParams {
   geo::Region region{100.0, 100.0};
   double mean_speed = 0.7;    // m/s
-  double speed_sigma = 0.3;
-  double direction_sigma = 0.6;  // radians
   double alpha = 0.75;        // memory level in [0, 1]
   double step = 1.0;          // seconds between AR updates
-  double edge_margin = 10.0;  // steer back when this close to a border
 };
 
 class GaussMarkov final : public MobilityModel {

@@ -6,7 +6,7 @@
 
 namespace p2p::mobility {
 
-RandomDirection::RandomDirection(const RandomDirectionParams& params,
+RandomDirection::RandomDirection(const RandomWaypointParams& params,
                                  sim::RngStream rng)
     : params_(params), rng_(std::move(rng)) {
   P2P_ASSERT(params_.max_speed > 0.0);
@@ -14,6 +14,7 @@ RandomDirection::RandomDirection(const RandomDirectionParams& params,
   leg_start_pos_ = {rng_.uniform(0.0, params_.region.width),
                     rng_.uniform(0.0, params_.region.height)};
   leg_end_pos_ = leg_start_pos_;
+  P2P_ASSERT(params_.pause_first);
   pausing_ = true;
   leg_end_time_ = rng_.uniform(0.0, params_.max_pause);
 }

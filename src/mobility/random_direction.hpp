@@ -9,27 +9,23 @@
 
 #include "geo/vec2.hpp"
 #include "mobility/model.hpp"
+#include "mobility/random_waypoint.hpp"
 #include "sim/rng.hpp"
 
 namespace p2p::mobility {
 
-struct RandomDirectionParams {
-  geo::Region region{100.0, 100.0};
-  double max_speed = 1.0;
-  double min_speed = 0.05;
-  double max_pause = 100.0;
-};
-
+/// Takes random waypoint's parameters: the same region, speed range and
+/// pause bound. The node always starts paused (`pause_first` must be true).
 class RandomDirection final : public MobilityModel {
  public:
-  RandomDirection(const RandomDirectionParams& params, sim::RngStream rng);
+  RandomDirection(const RandomWaypointParams& params, sim::RngStream rng);
 
   Leg leg_at(sim::SimTime t) override;
 
  private:
   void begin_next_leg();
 
-  RandomDirectionParams params_;
+  RandomWaypointParams params_;
   sim::RngStream rng_;
   bool pausing_ = true;
   sim::SimTime leg_start_time_ = 0.0;

@@ -15,10 +15,13 @@
 
 namespace p2p::net {
 
+/// MAC+PHY header bytes every frame puts on the air.
+inline constexpr std::size_t kFrameOverheadBytes = 34;
+/// Flat propagation delay added to every frame's arrival.
+inline constexpr double kPropagationDelayS = 1e-5;
+
 struct MacParams {
   double bandwidth_bps = 2e6;      // 2 Mb/s, 802.11 (1999) broadcast rate
-  std::size_t overhead_bytes = 34; // MAC+PHY header per frame
-  double propagation_s = 1e-5;     // flat propagation delay
   double jitter_max_s = 0.01;      // uniform rebroadcast defer
   double loss_probability = 0.0;   // i.i.d. per-receiver frame loss
 
@@ -46,7 +49,7 @@ inline double gray_zone_delivery_probability(const MacParams& mac,
 
 /// Airtime of one frame.
 inline double tx_duration(const MacParams& mac, std::size_t payload_bytes) noexcept {
-  const double bits = 8.0 * static_cast<double>(payload_bytes + mac.overhead_bytes);
+  const double bits = 8.0 * static_cast<double>(payload_bytes + kFrameOverheadBytes);
   return bits / mac.bandwidth_bps;
 }
 
@@ -57,7 +60,7 @@ inline double tx_duration(const MacParams& mac, std::size_t payload_bytes) noexc
 /// sim/sharded.hpp): an event at time t can influence another node no
 /// earlier than t + min_frame_latency.
 inline double min_frame_latency(const MacParams& mac) noexcept {
-  return tx_duration(mac, 0) + mac.propagation_s;
+  return tx_duration(mac, 0) + kPropagationDelayS;
 }
 
 }  // namespace p2p::net

@@ -360,7 +360,7 @@ void Network::broadcast(NodeId sender, FramePayloadPtr payload,
   index_.candidates_near(sender_pos, now, &lane.scratch_candidates);
   const double duration = tx_duration(params_.mac, bytes);
   const sim::SimTime start = schedule_tx(lane, node, duration);  // jitter
-  const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
+  const sim::SimTime arrival = start + duration + kPropagationDelayS;
 
   // One pass over the spatial-index candidates: range filter + channel
   // draws, in candidate order. This is the exact receiver order — and the
@@ -433,7 +433,7 @@ void Network::unicast(NodeId sender, NodeId neighbor, FramePayloadPtr payload,
   }
   const double duration = tx_duration(params_.mac, bytes);
   const sim::SimTime start = schedule_tx(lane, node, duration);
-  const sim::SimTime arrival = start + duration + params_.mac.propagation_s;
+  const sim::SimTime arrival = start + duration + kPropagationDelayS;
   Frame frame{sender, neighbor, bytes, std::move(payload)};
   lane.tx_out.clear();
   if (to_outbox(lane, neighbor, frame, arrival)) return;

@@ -7,13 +7,30 @@
 
 namespace p2p::routing {
 
+namespace {
+// RFC 3561 §10 constants.
+constexpr sim::SimTime kNodeTraversalTime = 0.04;
+constexpr std::uint8_t kNetDiameter = 35;
+constexpr std::uint8_t kRreqRetries = 2;
+// PATH_DISCOVERY_TIME (2 * NET_TRAVERSAL_TIME = 5.6 s) rounded up to 6 s.
+constexpr sim::SimTime kRreqIdCacheTtl = 6.0;
+
+constexpr sim::SimTime net_traversal_time() noexcept {
+  return 2.0 * kNodeTraversalTime * static_cast<double>(kNetDiameter);
+}
+// Discovery timeout for a given ring TTL (RFC 3561 §6.4).
+constexpr sim::SimTime ring_traversal_time(std::uint8_t ttl) noexcept {
+  return 2.0 * kNodeTraversalTime * (static_cast<double>(ttl) + 2.0);
+}
+}  // namespace
+
 AodvAgent::AodvAgent(sim::Simulator& simulator, net::Network& network,
                      NodeId self, const AodvParams& params)
     : sim_(&simulator),
       net_(&network),
       self_(self),
       params_(params),
-      rreq_seen_(params.rreq_id_cache_ttl) {
+      rreq_seen_(kRreqIdCacheTtl) {
   net_->attach_listener(self_, this);
 }
 
@@ -59,7 +76,7 @@ void AodvAgent::send(NodeId dst, AppPayloadPtr app) {
 
 void AodvAgent::start_discovery(NodeId dst) {
   auto& pending = pending_[dst];
-  pending.retries_left = params_.rreq_retries;
+  pending.retries_left = kRreqRetries;
   pending.last_ttl = params_.ttl_start;
   send_rreq(dst, pending.last_ttl);
 }
@@ -82,7 +99,7 @@ void AodvAgent::send_rreq(NodeId dst, std::uint8_t ttl) {
   net_->broadcast(self_, net_->pools().make_from(std::move(rreq)), kRreqBytes);
 
   auto& pending = pending_[dst];
-  pending.timeout = sim_->after(params_.ring_traversal_time(ttl),
+  pending.timeout = sim_->after(ring_traversal_time(ttl),
                                 [this, dst] { discovery_timeout(dst); });
 }
 
@@ -99,13 +116,13 @@ void AodvAgent::discovery_timeout(NodeId dst) {
   // Expanding ring: grow the TTL; past the threshold, go network-wide.
   std::uint8_t next_ttl;
   if (pending.last_ttl >= params_.ttl_threshold) {
-    next_ttl = params_.net_diameter;
+    next_ttl = kNetDiameter;
   } else {
     next_ttl = static_cast<std::uint8_t>(
         std::min<int>(pending.last_ttl + params_.ttl_increment,
                       params_.ttl_threshold));
   }
-  if (pending.last_ttl >= params_.net_diameter) {
+  if (pending.last_ttl >= kNetDiameter) {
     // Already tried network-wide: consume a retry.
     if (pending.retries_left == 0) {
       ++stats_.discoveries_failed;
@@ -114,7 +131,7 @@ void AodvAgent::discovery_timeout(NodeId dst) {
       return;
     }
     --pending.retries_left;
-    next_ttl = params_.net_diameter;
+    next_ttl = kNetDiameter;
   }
   pending.last_ttl = next_ttl;
   send_rreq(dst, next_ttl);
@@ -208,7 +225,7 @@ void AodvAgent::handle_rreq(NodeId from, const Rreq& rreq) {
   if (table_.is_better(rreq.origin, rreq.origin_seq, true, origin_hops,
                        sim_->now())) {
     table_.update(rreq.origin, from, origin_hops, rreq.origin_seq, true,
-                  sim_->now() + params_.net_traversal_time() * 2.0);
+                  sim_->now() + net_traversal_time() * 2.0);
   }
   if (pending_.count(rreq.origin) != 0 && has_route(rreq.origin)) {
     flush_queue(rreq.origin);

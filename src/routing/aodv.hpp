@@ -33,22 +33,10 @@ namespace p2p::routing {
 struct AodvParams {
   sim::SimTime active_route_timeout = 10.0;  // ns-2 AODV default (mobile, no hello)
   sim::SimTime my_route_timeout = 20.0;      // 2 * active_route_timeout
-  sim::SimTime node_traversal_time = 0.04;
-  std::uint8_t net_diameter = 35;
-  std::uint8_t rreq_retries = 2;
   std::uint8_t ttl_start = 2;
   std::uint8_t ttl_increment = 2;
   std::uint8_t ttl_threshold = 7;
   std::size_t send_queue_limit = 64;         // packets buffered per discovery
-  sim::SimTime rreq_id_cache_ttl = 6.0;      // PATH_DISCOVERY_TIME
-
-  sim::SimTime net_traversal_time() const noexcept {
-    return 2.0 * node_traversal_time * static_cast<double>(net_diameter);
-  }
-  /// Discovery timeout for a given ring TTL (RFC 3561 §6.4).
-  sim::SimTime ring_traversal_time(std::uint8_t ttl) const noexcept {
-    return 2.0 * node_traversal_time * (static_cast<double>(ttl) + 2.0);
-  }
 };
 
 struct AodvStats {
@@ -118,6 +106,7 @@ class AodvAgent final : public net::LinkListener, public RoutingService {
   }
 
   const AodvStats& stats() const noexcept { return stats_; }
+  const AodvParams& params() const noexcept { return params_; }
   NodeId self() const noexcept { return self_; }
   RoutingTable& table() noexcept { return table_; }
   /// Read-only RREQ duplicate-cache view for the invariant sweep.

@@ -7,6 +7,10 @@
 
 namespace p2p::routing {
 
+namespace {
+constexpr sim::SimTime kTriggeredUpdateDelay = 0.5;  // batch break notices
+}  // namespace
+
 DsdvAgent::DsdvAgent(sim::Simulator& simulator, net::Network& network,
                      NodeId self, const DsdvParams& params)
     : sim_(&simulator),
@@ -23,6 +27,12 @@ DsdvAgent::~DsdvAgent() {
   if (triggered_event_ != sim::kInvalidEventId) sim_->cancel(triggered_event_);
 }
 
+void DsdvAgent::reset() {
+  if (triggered_event_ != sim::kInvalidEventId) sim_->cancel(triggered_event_);
+  triggered_event_ = sim::kInvalidEventId;
+  table_.clear();
+}
+
 void DsdvAgent::schedule_periodic_update() {
   const sim::SimTime delay =
       params_.periodic_update_interval +
@@ -36,13 +46,14 @@ void DsdvAgent::schedule_periodic_update() {
 
 void DsdvAgent::schedule_triggered_update() {
   if (triggered_event_ != sim::kInvalidEventId) return;  // already batched
-  triggered_event_ = sim_->after(params_.triggered_update_delay, [this] {
+  triggered_event_ = sim_->after(kTriggeredUpdateDelay, [this] {
     triggered_event_ = sim::kInvalidEventId;
     broadcast_update(/*full=*/false);
   });
 }
 
 void DsdvAgent::broadcast_update(bool full) {
+  if (!net_->alive(self_)) return;  // a dead radio advertises nothing
   DsdvUpdate update;
   update.origin = self_;
   // Own entry first: fresh even sequence number, metric 0.

@@ -30,7 +30,6 @@ struct DsdvParams {
   sim::SimTime periodic_update_interval = 15.0;  // full-dump cadence
   sim::SimTime update_jitter = 2.0;              // desynchronizes dumps
   sim::SimTime route_stale_timeout = 45.0;       // 3 missed dumps -> stale
-  sim::SimTime triggered_update_delay = 0.5;     // batch break notices
 };
 
 /// One advertised table row.
@@ -87,6 +86,11 @@ class DsdvAgent final : public net::LinkListener, public RoutingService {
   }
 
   void on_frame(const net::Frame& frame) override;
+
+  /// Node crash: drop the table and any pending triggered update. own_seq_
+  /// survives, and the periodic tick keeps its schedule but sends (and
+  /// counts) nothing while the node is down.
+  void reset() override;
 
   const DsdvStats& stats() const noexcept { return stats_; }
   NodeId self() const noexcept { return self_; }

@@ -7,13 +7,20 @@
 
 namespace p2p::routing {
 
+namespace {
+constexpr sim::SimTime kDiscoveryTimeout = 2.0;  // wait per request round
+constexpr std::uint8_t kDiscoveryRetries = 2;
+constexpr sim::SimTime kRequestIdCacheTtl = 6.0;
+constexpr std::size_t kSendQueueLimit = 64;  // packets buffered per discovery
+}  // namespace
+
 DsrAgent::DsrAgent(sim::Simulator& simulator, net::Network& network,
                    NodeId self, const DsrParams& params)
     : sim_(&simulator),
       net_(&network),
       self_(self),
       params_(params),
-      rreq_seen_(params.request_id_cache_ttl) {
+      rreq_seen_(kRequestIdCacheTtl) {
   net_->attach_listener(self_, this);
 }
 
@@ -21,6 +28,16 @@ DsrAgent::~DsrAgent() {
   for (auto& [dst, pending] : pending_) {
     if (pending.timeout != sim::kInvalidEventId) sim_->cancel(pending.timeout);
   }
+}
+
+void DsrAgent::reset() {
+  for (auto& [dst, pending] : pending_) {
+    if (pending.timeout != sim::kInvalidEventId) sim_->cancel(pending.timeout);
+    stats_.data_dropped += pending.queue.size();
+  }
+  pending_.clear();
+  cache_.clear();
+  rreq_seen_.clear();
 }
 
 // ------------------------------------------------------------------ cache
@@ -86,7 +103,7 @@ void DsrAgent::send(NodeId dst, net::AppPayloadPtr app) {
     purge_link(self_, next);
   }
   auto& pending = pending_[dst];
-  if (pending.queue.size() >= params_.send_queue_limit) {
+  if (pending.queue.size() >= kSendQueueLimit) {
     pending.queue.pop_front();
     ++stats_.data_dropped;
   }
@@ -110,7 +127,7 @@ int DsrAgent::route_hops(NodeId dst) {
 
 void DsrAgent::start_discovery(NodeId dst) {
   auto& pending = pending_[dst];
-  pending.retries_left = params_.discovery_retries;
+  pending.retries_left = kDiscoveryRetries;
   send_rreq(dst);
 }
 
@@ -124,7 +141,7 @@ void DsrAgent::send_rreq(NodeId dst) {
   const std::size_t bytes = dsr_rreq_bytes(rreq);
   net_->broadcast(self_, net_->pools().make_from(std::move(rreq)), bytes);
   auto& pending = pending_[dst];
-  pending.timeout = sim_->after(params_.discovery_timeout,
+  pending.timeout = sim_->after(kDiscoveryTimeout,
                                 [this, dst] { discovery_timeout(dst); });
 }
 
@@ -157,8 +174,7 @@ void DsrAgent::flush_queue(NodeId dst) {
 
 // --------------------------------------------------------------- handlers
 
-void DsrAgent::handle_rreq(NodeId from, const DsrRreq& rreq) {
-  (void)from;
+void DsrAgent::handle_rreq(const DsrRreq& rreq) {
   if (rreq.origin == self_) return;
   if (!rreq_seen_.insert(rreq.origin, rreq.request_id, sim_->now())) return;
   // Nodes already in the accumulated path don't process again (loop guard;
@@ -234,7 +250,6 @@ void DsrAgent::handle_rerr(const DsrRerr& rerr) {
 bool DsrAgent::forward_data(DsrData data) {
   P2P_DASSERT(data.next_index < data.route.size());
   const NodeId next = data.route[data.next_index];
-  P2P_DASSERT(net_->alive(self_) || true);
   if (!net_->in_range(self_, next)) {
     report_break(data, next);
     return false;
@@ -283,8 +298,7 @@ void DsrAgent::handle_data(DsrData data) {
 void DsrAgent::on_frame(const net::Frame& frame) {
   switch (static_cast<FrameKind>(frame.payload->kind)) {
     case FrameKind::kDsrRreq:
-      handle_rreq(frame.sender,
-                  *static_cast<const DsrRreq*>(frame.payload.get()));
+      handle_rreq(*static_cast<const DsrRreq*>(frame.payload.get()));
       break;
     case FrameKind::kDsrRrep:
       if (frame.link_dst == self_) {

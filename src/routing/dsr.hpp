@@ -30,10 +30,6 @@ namespace p2p::routing {
 struct DsrParams {
   std::uint8_t max_route_len = 16;       // hops a request may accumulate
   sim::SimTime route_lifetime = 30.0;    // cached path freshness bound
-  sim::SimTime discovery_timeout = 2.0;  // wait per request round
-  std::uint8_t discovery_retries = 2;
-  std::size_t send_queue_limit = 64;
-  sim::SimTime request_id_cache_ttl = 6.0;
 };
 
 /// Flooded route request; `path` holds the nodes traversed so far
@@ -120,6 +116,11 @@ class DsrAgent final : public net::LinkListener, public RoutingService {
 
   void on_frame(const net::Frame& frame) override;
 
+  /// Node crash: drop the route cache, the request duplicate cache and
+  /// every pending discovery (cancelling their timeouts and counting their
+  /// buffered packets as dropped). next_request_id_ survives.
+  void reset() override;
+
   const DsrStats& stats() const noexcept { return stats_; }
   NodeId self() const noexcept { return self_; }
 
@@ -147,7 +148,7 @@ class DsrAgent final : public net::LinkListener, public RoutingService {
   void discovery_timeout(NodeId dst);
   void flush_queue(NodeId dst);
 
-  void handle_rreq(NodeId from, const DsrRreq& rreq);
+  void handle_rreq(const DsrRreq& rreq);
   void handle_rrep(const DsrRrep& rrep);
   void handle_rerr(const DsrRerr& rerr);
   void handle_data(DsrData data);

@@ -6,14 +6,17 @@
 
 namespace p2p::routing {
 
+namespace {
+constexpr sim::SimTime kDedupTtl = 30.0;  // how long a sighting suppresses
+}  // namespace
+
 FloodService::FloodService(sim::Simulator& simulator, net::Network& network,
-                           NodeId self, RoutingService* routing,
-                           sim::SimTime dedup_ttl)
+                           NodeId self, RoutingService* routing)
     : sim_(&simulator),
       net_(&network),
       self_(self),
       routing_(routing),
-      seen_(dedup_ttl) {
+      seen_(kDedupTtl) {
   net_->attach_listener(self_, this);
 }
 

@@ -36,8 +36,7 @@ class FloodService final : public net::LinkListener {
   /// `routing` may be null; when set, every received flood offers a
   /// reverse-route hint to its origin (see RoutingService::learn_route).
   FloodService(sim::Simulator& simulator, net::Network& network, NodeId self,
-               RoutingService* routing = nullptr,
-               sim::SimTime dedup_ttl = 30.0);
+               RoutingService* routing = nullptr);
 
   FloodService(const FloodService&) = delete;
   FloodService& operator=(const FloodService&) = delete;

@@ -75,20 +75,16 @@ void RoutingTable::destinations_via(NodeId next_hop, sim::SimTime now,
   std::sort(out->begin(), out->end());
 }
 
-std::vector<NodeId> RoutingTable::destinations_via(NodeId next_hop,
-                                                   sim::SimTime now) const {
-  std::vector<NodeId> out;
-  destinations_via(next_hop, now, &out);
-  return out;
-}
-
 void RoutingTable::clear() noexcept { entries_.clear(); }
 
-RoutingTable::ConstView::ConstView(const RoutingTable* table) : table_(table) {
-  keys_.reserve(table->size());
-  table->entries_.for_each(
-      [&](NodeId dst, const Route&) { keys_.push_back(dst); });
-  std::sort(keys_.begin(), keys_.end());
+std::vector<RoutingTable::Entry> RoutingTable::all() const {
+  std::vector<NodeId> keys;
+  entries_.for_each([&](NodeId dst, const Route&) { keys.push_back(dst); });
+  std::sort(keys.begin(), keys.end());  // Entry holds a reference: sort keys
+  std::vector<Entry> out;
+  out.reserve(keys.size());
+  for (const NodeId dst : keys) out.push_back({dst, *entries_.find(dst)});
+  return out;
 }
 
 }  // namespace p2p::routing

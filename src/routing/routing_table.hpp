@@ -71,11 +71,10 @@ class RoutingTable {
   void add_precursor(NodeId dst, NodeId precursor);
 
   /// Destinations whose active route uses `next_hop` (link-break handling),
-  /// in ascending destination order. The buffer overload clears and reuses
-  /// `out` so per-break handling allocates nothing in steady state.
+  /// in ascending destination order. Clears and reuses `out` so per-break
+  /// handling allocates nothing in steady state.
   void destinations_via(NodeId next_hop, sim::SimTime now,
                         std::vector<NodeId>* out) const;
-  std::vector<NodeId> destinations_via(NodeId next_hop, sim::SimTime now) const;
 
   std::size_t size() const noexcept { return entries_.size(); }
 
@@ -88,49 +87,14 @@ class RoutingTable {
   /// accounting; excludes per-route precursor set heap nodes).
   std::size_t memory_bytes() const noexcept { return entries_.memory_bytes(); }
 
-  /// Read-only iterable view over every entry, ascending by destination,
-  /// for cross-layer invariant sweeps (cold path: materializes the sorted
-  /// key list). Yields `{NodeId dst, const Route& route}` pairs, so
-  /// `for (const auto& [dst, route] : table.all())` works as it did over
-  /// the old map representation.
-  class ConstView {
-   public:
-    struct Entry {
-      NodeId dst;
-      const Route& route;
-    };
-    class iterator {
-     public:
-      iterator(const ConstView* view, std::size_t i) noexcept
-          : view_(view), i_(i) {}
-      Entry operator*() const noexcept {
-        const NodeId dst = view_->keys_[i_];
-        return Entry{dst, *view_->table_->find(dst)};
-      }
-      iterator& operator++() noexcept {
-        ++i_;
-        return *this;
-      }
-      bool operator!=(const iterator& other) const noexcept {
-        return i_ != other.i_;
-      }
-
-     private:
-      const ConstView* view_;
-      std::size_t i_;
-    };
-
-    explicit ConstView(const RoutingTable* table);
-    iterator begin() const noexcept { return iterator(this, 0); }
-    iterator end() const noexcept { return iterator(this, keys_.size()); }
-    std::size_t size() const noexcept { return keys_.size(); }
-
-   private:
-    const RoutingTable* table_;
-    std::vector<NodeId> keys_;  // ascending destinations at view creation
+  struct Entry {
+    NodeId dst;
+    const Route& route;
   };
-
-  ConstView all() const { return ConstView(this); }
+  /// Every entry, ascending by destination, for cross-layer invariant
+  /// sweeps (cold path: allocates). The references are valid until the
+  /// table next changes.
+  std::vector<Entry> all() const;
 
  private:
   util::FlatMap<NodeId, Route, net::kInvalidNode> entries_;

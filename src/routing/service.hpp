@@ -36,8 +36,8 @@ class RoutingService {
   /// Drop all volatile protocol state (routes, pending discoveries, caches)
   /// without sending anything — the node crashed. Monotonic identifiers
   /// (sequence numbers, broadcast ids) survive so the reborn node never
-  /// reuses a stale id. Default: nothing to drop.
-  virtual void reset() {}
+  /// reuses a stale id.
+  virtual void reset() = 0;
 
   /// True if a usable route to dst currently exists.
   virtual bool has_route(net::NodeId dst) = 0;

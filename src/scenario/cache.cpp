@@ -163,7 +163,7 @@ std::string canonical_parameters(const Parameters& params,
   // Bump the tag whenever a code change alters simulation output for the
   // same parameters; docs/determinism.md "Cache-tag bump policy" has the
   // policy and the history of every tag.
-  std::string out = "code-v15\n";
+  std::string out = "code-v16\n";
   for_each_field(std::as_const(p), [&](ParamKey key, const auto& field) {
     out += key.name;
     out += '=';

@@ -45,28 +45,23 @@ void SimulationRun::build() {
   network_ = std::make_unique<net::Network>(sim_, net_params,
                                             rngs_.stream("mac"));
 
+  mobility::RandomWaypointParams rwp;  // random direction takes them too
+  rwp.region = net_params.region;
+  rwp.max_speed = params_.max_speed;
+  rwp.min_speed = params_.min_speed;
+  rwp.max_pause = params_.max_pause;
   // Physical nodes first (mobility stream draws and add_node order exactly
   // as before the loop was split — add_node pushes no events).
   for (std::size_t i = 0; i < params_.num_nodes; ++i) {
     std::unique_ptr<mobility::MobilityModel> model;
     if (params_.mobile &&
         params_.mobility_kind == MobilityKind::kRandomWaypoint) {
-      mobility::RandomWaypointParams rwp;
-      rwp.region = net_params.region;
-      rwp.max_speed = params_.max_speed;
-      rwp.min_speed = params_.min_speed;
-      rwp.max_pause = params_.max_pause;
       model = std::make_unique<mobility::RandomWaypoint>(
           rwp, rngs_.stream("mobility", i));
     } else if (params_.mobile &&
                params_.mobility_kind == MobilityKind::kRandomDirection) {
-      mobility::RandomDirectionParams rdp;
-      rdp.region = net_params.region;
-      rdp.max_speed = params_.max_speed;
-      rdp.min_speed = params_.min_speed;
-      rdp.max_pause = params_.max_pause;
       model = std::make_unique<mobility::RandomDirection>(
-          rdp, rngs_.stream("mobility", i));
+          rwp, rngs_.stream("mobility", i));
     } else if (params_.mobile &&
                params_.mobility_kind == MobilityKind::kGaussMarkov) {
       mobility::GaussMarkovParams gmp;

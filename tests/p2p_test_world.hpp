@@ -40,8 +40,9 @@ class TestRecorder final : public core::QueryRecorder {
 /// A hand-positioned world where every node runs the same algorithm.
 class World {
  public:
-  explicit World(core::P2pParams p2p = {}, double area = 400.0)
-      : p2p_params_(p2p), rngs_(12345) {
+  explicit World(core::P2pParams p2p = {}, double area = 400.0,
+                 routing::AodvParams aodv = {})
+      : p2p_params_(p2p), aodv_params_(aodv), rngs_(12345) {
     // Queries only run for servents that are given a placement, so tests
     // opt in by calling set_placement.
     net::NetworkParams params;
@@ -58,7 +59,7 @@ class World {
   net::NodeId add_node(std::unique_ptr<mobility::MobilityModel> model) {
     const net::NodeId id = network_->add_node(std::move(model));
     aodv_.push_back(std::make_unique<routing::AodvAgent>(
-        sim_, *network_, id, routing::AodvParams{}));
+        sim_, *network_, id, aodv_params_));
     flood_.push_back(std::make_unique<routing::FloodService>(
         sim_, *network_, id, aodv_.back().get()));
     return id;
@@ -110,6 +111,7 @@ class World {
 
  private:
   core::P2pParams p2p_params_;
+  routing::AodvParams aodv_params_;
   sim::RngManager rngs_;
   sim::Simulator sim_;
   std::unique_ptr<net::Network> network_;

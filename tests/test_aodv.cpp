@@ -95,9 +95,11 @@ TEST(RoutingTable, DestinationsViaFindsDependentRoutes) {
   table.update(7, 3, 2, 1, true, 100.0);
   table.update(8, 3, 3, 1, true, 100.0);
   table.update(9, 4, 1, 1, true, 100.0);
-  const auto via3 = table.destinations_via(3, 0.0);
-  EXPECT_EQ(via3.size(), 2U);
-  EXPECT_EQ(table.destinations_via(5, 0.0).size(), 0U);
+  std::vector<NodeId> via;
+  table.destinations_via(3, 0.0, &via);
+  EXPECT_EQ(via.size(), 2U);
+  table.destinations_via(5, 0.0, &via);
+  EXPECT_EQ(via.size(), 0U);
 }
 
 TEST(RoutingTable, RefreshExtendsLifetimeOnly) {

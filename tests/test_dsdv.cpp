@@ -136,6 +136,27 @@ TEST(Dsdv, LinkBreakMarksRoutesAndRecoves) {
   EXPECT_EQ(delivered[1], 2);
 }
 
+TEST(Dsdv, ResetDropsTheTableAndADeadNodeAdvertisesNothing) {
+  DsdvParams params;
+  params.periodic_update_interval = 5.0;
+  LineWorld world(3, params);
+  world.sim.run_until(30.0);
+  ASSERT_TRUE(world.agents[0]->has_route(2));
+
+  world.net->set_failed(0, true);
+  world.agents[0]->reset();
+  EXPECT_FALSE(world.agents[0]->has_route(2));
+  EXPECT_EQ(world.agents[0]->table_size(), 0U);
+  const auto sent = world.agents[0]->stats().updates_sent;
+  world.sim.run_until(60.0);  // several periodic ticks while down
+  EXPECT_EQ(world.agents[0]->stats().updates_sent, sent);
+
+  world.net->set_failed(0, false);  // reborn: the tick advertises again
+  world.sim.run_until(100.0);
+  EXPECT_GT(world.agents[0]->stats().updates_sent, sent);
+  EXPECT_TRUE(world.agents[0]->has_route(2));
+}
+
 TEST(Dsdv, CountsControlTraffic) {
   DsdvParams params;
   params.periodic_update_interval = 5.0;

@@ -101,6 +101,33 @@ TEST(Dsr, LearnRouteCachesDirectNeighborsOnly) {
   EXPECT_FALSE(world.agents[0]->has_route(2));
 }
 
+TEST(Dsr, ResetDropsTheRouteCache) {
+  LineWorld world(4);
+  world.agents[0]->send(3, world.net->pools().make_from(AppMsg(1)));
+  world.sim.run_until(5.0);
+  ASSERT_TRUE(world.agents[0]->has_route(3));
+  world.agents[0]->reset();
+  EXPECT_FALSE(world.agents[0]->has_route(3));
+  EXPECT_EQ(world.agents[0]->route_hops(3), -1);
+}
+
+TEST(Dsr, ResetCancelsPendingDiscoveries) {
+  LineWorld world(3);
+  world.net->set_failed(2, true);  // unreachable: the discovery stays pending
+  world.agents[0]->send(2, world.net->pools().make_from(AppMsg(1)));
+  world.sim.run_until(1.0);
+  const auto rreqs = world.agents[0]->stats().rreq_originated;
+  ASSERT_EQ(rreqs, 1U);
+
+  world.net->set_failed(0, true);  // crash: the queued packet dies with it
+  world.agents[0]->reset();
+  EXPECT_EQ(world.agents[0]->stats().data_dropped, 1U);
+  world.sim.run_until(30.0);
+  EXPECT_EQ(world.agents[0]->stats().rreq_originated, rreqs);
+  EXPECT_EQ(world.agents[0]->stats().discoveries_failed, 0U);
+  EXPECT_EQ(world.agents[0]->stats().data_dropped, 1U);
+}
+
 TEST(Dsr, LinkBreakSendsRerrAndPurgesCaches) {
   // 0-1-2 where node 1 walks away after the route forms; a relay 3 offers
   // an alternative path.

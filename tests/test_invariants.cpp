@@ -97,6 +97,33 @@ TEST(Invariants, RegisteredRebirthExplainsOneSidedEdge) {
   EXPECT_EQ(count_kind(checker, InvariantKind::kAsymmetricOverlayEdge), 0U);
 }
 
+// The grace follows the holder's maintenance timers: max(silence_timeout,
+// ping_interval + pong_timeout) + 120 s, 720 s with a 600 s silence timeout.
+TEST(Invariants, AsymmetryGraceFollowsSilenceTimeout) {
+  core::P2pParams p2p;
+  p2p.silence_timeout = 600.0;
+  p2ptest::World world(p2p);
+  world.add_node(10.0, 10.0);
+  world.add_node(15.0, 10.0);
+  world.add_servent(0, core::AlgorithmKind::kRegular);
+  world.add_servent(1, core::AlgorithmKind::kRegular);
+  world.start_all();
+  world.sim().run_until(100.0);
+  ASSERT_TRUE(world.symmetric(0, 1));
+
+  InvariantChecker checker(world.network());
+  checker.add_servent(&world.servent(0));
+  checker.add_servent(&world.servent(1));
+
+  world.servent(1).crash();  // unregistered: node 0's edge goes one-sided
+  const double t0 = world.sim().now();
+  checker.sweep(t0);
+  checker.sweep(t0 + 301.0);  // inside the 600 s silence timeout
+  EXPECT_EQ(count_kind(checker, InvariantKind::kAsymmetricOverlayEdge), 0U);
+  checker.sweep(t0 + 721.0);
+  EXPECT_EQ(count_kind(checker, InvariantKind::kAsymmetricOverlayEdge), 1U);
+}
+
 // ------------------------------------------------ 2: stale route
 
 TEST(Invariants, ReportsStaleRouteToDeadNeighbor) {
@@ -129,6 +156,49 @@ TEST(Invariants, ReportsStaleRouteToDeadNeighbor) {
   const std::uint64_t before = checker.violations_total();
   checker.sweep(t0 + 60.0);
   EXPECT_EQ(checker.violations_total(), before);
+}
+
+// The lifetime bound follows the table owner's timers: max(active_route_
+// timeout, my_route_timeout) + 10 s, 70 s with a 60 s active route timeout.
+TEST(Invariants, RouteLifetimeBoundFollowsActiveRouteTimeout) {
+  routing::AodvParams aodv;
+  aodv.active_route_timeout = 60.0;
+  p2ptest::World world({}, 400.0, aodv);
+  p2ptest::make_line(world, 3);
+  InvariantChecker checker(world.network());
+  checker.add_aodv(&world.aodv(0));
+
+  const double t0 = 10.0;
+  world.network().set_failed(1, true);
+  checker.sweep(t0);  // observes the death, starts its clock
+
+  // Next hop dead for 26 s; a 60 s refresh 5 s ago left 55 s: legitimate.
+  world.aodv(0).table().update(/*dst=*/2, /*next_hop=*/1, /*hops=*/2,
+                               /*seq=*/1, /*seq_valid=*/true,
+                               /*expires=*/t0 + 26.0 + 55.0);
+  checker.sweep(t0 + 26.0);
+  EXPECT_EQ(count_kind(checker, InvariantKind::kStaleRouteToDeadNeighbor), 0U);
+
+  // No lifetime AODV grants reaches past 70 s.
+  world.aodv(0).table().refresh(2, t0 + 27.0 + 70.5);
+  checker.sweep(t0 + 27.0);
+  EXPECT_EQ(count_kind(checker, InvariantKind::kStaleRouteToDeadNeighbor), 1U);
+}
+
+// At the defaults a RREP grants my_route_timeout (20 s), longer than the
+// 10 s active route timeout, so the bound is 30 s either way round.
+TEST(Invariants, RouteLifetimeBoundCoversRrepLifetime) {
+  p2ptest::World world;
+  p2ptest::make_line(world, 3);
+  InvariantChecker checker(world.network());
+  checker.add_aodv(&world.aodv(0));
+
+  const double t0 = 10.0;
+  world.network().set_failed(1, true);
+  checker.sweep(t0);
+  world.aodv(0).table().update(2, 1, 2, 1, true, t0 + 26.0 + 25.0);
+  checker.sweep(t0 + 26.0);
+  EXPECT_EQ(count_kind(checker, InvariantKind::kStaleRouteToDeadNeighbor), 0U);
 }
 
 // ------------------------------------------------ 3: dup-cache corruption
@@ -218,6 +288,25 @@ TEST(Invariants, CleanOnFiniteBatteryRun) {
   ASSERT_GT(dead, 0U);
   EXPECT_EQ(r.invariant_violations, 0U);
   EXPECT_EQ(run.invariant_checker()->sweeps_run(), 20U);
+}
+
+// Non-default maintenance and route timers under churn: the bounds follow
+// the keys, so no legitimate timer reads as a violation.
+TEST(Invariants, CleanUnderChurnWithLongTimers) {
+  scenario::Parameters params;
+  params.num_nodes = 50;
+  params.duration_s = 1800.0;
+  params.seed = 2;
+  params.fault.churn_rate_per_hour = 6.0;
+  params.fault.mean_downtime_s = 60.0;
+  params.aodv.active_route_timeout = 60.0;
+  params.p2p.silence_timeout = 600.0;
+  params.invariant_check_interval_s = 10.0;
+  scenario::SimulationRun run(params);
+  const scenario::RunResult r = run.run();
+
+  EXPECT_GT(r.churn_recoveries, 0U);
+  EXPECT_EQ(r.invariant_violations, 0U);
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(RandomWaypoint, InitialPositionIsInsideAndReported) {
 class RandomDirectionSeeded : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDirectionSeeded, StaysInsideAndMoves) {
-  mobility::RandomDirectionParams params;
+  mobility::RandomWaypointParams params;
   params.region = {80.0, 60.0};
   params.max_pause = 10.0;
   mobility::RandomDirection model(params, sim::RngStream(GetParam()));
@@ -101,7 +101,7 @@ TEST_P(RandomDirectionSeeded, StaysInsideAndMoves) {
 TEST_P(RandomDirectionSeeded, LegsEndOnTheBoundary) {
   // Sample densely: random-direction nodes must repeatedly touch an edge
   // (the model's defining property vs random waypoint).
-  mobility::RandomDirectionParams params;
+  mobility::RandomWaypointParams params;
   params.region = {50.0, 50.0};
   params.max_pause = 1.0;
   mobility::RandomDirection model(params, sim::RngStream(GetParam()));
@@ -247,7 +247,7 @@ TEST(Mobility, LegTakenEarlierMatchesFreshModel) {
   }
   for (const double max_pause : {20.0, 1e-13}) {
     SCOPED_TRACE(testing::Message() << "RandomDirection max_pause=" << max_pause);
-    mobility::RandomDirectionParams params;
+    RandomWaypointParams params;
     params.region = {30.0, 20.0};
     params.max_pause = max_pause;
     mobility::RandomDirection cached(params, sim::RngStream(43));

@@ -174,7 +174,7 @@ TEST(RoutingTableLifecycle, AllViewSeesEveryEntry) {
 
 // ------------------------------------------------------ destinations_via --
 
-TEST(RoutingTableVia, BufferOverloadMatchesAndSkipsInactive) {
+TEST(RoutingTableVia, ClearsTheBufferAndSkipsInactive) {
   RoutingTable table;
   table.update(7, 3, 2, 1, true, 100.0);
   table.update(8, 3, 3, 1, true, 100.0);
@@ -186,7 +186,6 @@ TEST(RoutingTableVia, BufferOverloadMatchesAndSkipsInactive) {
   std::vector<NodeId> buf{99, 99};         // stale contents must be cleared
   table.destinations_via(3, 50.0, &buf);
   EXPECT_EQ(buf, (std::vector<NodeId>{7, 8}));
-  EXPECT_EQ(table.destinations_via(3, 50.0), buf);  // allocating overload agrees
 
   table.destinations_via(5, 50.0, &buf);
   EXPECT_TRUE(buf.empty());
@@ -286,9 +285,10 @@ TEST(RoutingTableReference, MatchesOrderedModel) {
       EXPECT_EQ(a->expires, b.expires);
       EXPECT_EQ(a->precursors, b.precursors);
     }
+    std::vector<NodeId> via_buf;
     for (NodeId via = 0; via < 8; ++via) {
-      ASSERT_EQ(table.destinations_via(via, now),
-                model.destinations_via(via, now))
+      table.destinations_via(via, now, &via_buf);
+      ASSERT_EQ(via_buf, model.destinations_via(via, now))
           << "via " << via << " at " << now;
     }
     std::vector<NodeId> order;
